@@ -21,23 +21,28 @@
      flow-table entry (bytes_per_flow) and the process peak RSS, then
      releases every flow and fails hard if any table entry leaks.
 
-   Writes BENCH_core.json (schema `inrpp-bench-core/v4`: v3 plus
-   bytes_per_flow and peak_rss_bytes per benchmark row) so future PRs
-   can compare against the recorded trajectory.  `--trials N` sets the best-of-N trial count,
-   `--domains D` spreads the trials over D domains (per-trial
-   allocation is read inside the owning domain, so the gate is sound
-   at any D).  `--smoke` runs small iteration counts for CI; `--check`
-   (after a run, as in `--smoke --check`) gates the fresh results
-   against the frozen per-benchmark allocation baselines — a benchmark
-   allocating more than 2x its baseline minor-words/event fails the
-   run, wall-clock numbers are advisory only (CI machines are too
-   noisy to gate on time).  `--check FILE` applies the same schema +
-   allocation gate to an existing JSON file; v2 files (written before
-   the parallel harness) are still accepted. *)
+   Writes BENCH_core.json (schema `inrpp-bench-core/v5`: per-row
+   bytes_per_flow and peak_rss_bytes, the frozen alloc_baseline and
+   bytes_baseline tables, no wall-clock floor) so future PRs can
+   compare against the recorded trajectory.  `--trials N` sets the
+   best-of-N trial count, `--domains D` spreads the trials over D
+   domains (per-trial allocation is read inside the owning domain, so
+   the gate is sound at any D).  `--smoke` runs small iteration counts
+   for CI; `--check` (after a run, as in `--smoke --check`) gates the
+   fresh results against the frozen per-benchmark allocation and
+   bytes/flow baselines — a benchmark allocating more than 2x its
+   baseline minor-words/event fails the run.  Wall clock is not gated
+   here; perfbench/ measures it.  `--check FILE` applies the same
+   schema + allocation gate to an existing JSON file; v4, v3 and v2
+   files are still accepted, and their wall-clock `baseline` object is
+   ignored. *)
 
-let schema_version = "inrpp-bench-core/v4"
+let schema_version = "inrpp-bench-core/v5"
 
-(* pre-memory-benchmark files: same shape minus bytes_per_flow /
+(* v5 plus the frozen pre-overhaul wall-clock `baseline` object *)
+let schema_v4 = "inrpp-bench-core/v4"
+
+(* pre-memory-benchmark files: v4 minus bytes_per_flow /
    peak_rss_bytes per row *)
 let schema_v3 = "inrpp-bench-core/v3"
 
@@ -48,24 +53,6 @@ let schema_v2 = "inrpp-bench-core/v2"
    the JSON) so any randomized consumer — now or added later — cannot
    silently self-init and make two bench runs incomparable *)
 let rng_seed = 0x5EED1
-
-(* Events/sec on the pre-overhaul core (two events per forwarded
-   packet, cancelled timers left in the heap until expiry,
-   closure-per-packet Iface), measured with this same runner at full
-   iteration counts on the reference machine (a worktree of the
-   pre-overhaul commit with bench/perf copied in).  Kept as the
-   comparison floor for the overhaul's >= 1.5x dumbbell acceptance
-   criterion.  isp_zoo is protocol-bound: the overhaul shrinks its
-   event count ~35% at equal wall time, so chunks/sec — not
-   events/sec — is the number to track there. *)
-let baseline =
-  [
-    ("engine_churn_events_per_sec", 791_443.);
-    ("dumbbell_events_per_sec", 1_172_531.);
-    ("dumbbell_chunks_per_sec", 195_360.);
-    ("isp_zoo_events_per_sec", 358_497.);
-    ("isp_zoo_chunks_per_sec", 23_460.);
-  ]
 
 (* Per-benchmark allocation baselines (minor words per event), frozen
    after the protocol hot-path overhaul (packed custody keys, dense
@@ -103,9 +90,9 @@ let alloc_baseline_smoke =
   [
     ("engine_churn", 38.1);
     ("dumbbell", 58.9);
-    ("isp_zoo", 683.1);
-    ("overload", 691.7);
-    ("flows_1m", 5_775.9);
+    ("isp_zoo", 682.0);
+    ("overload", 690.6);
+    ("flows_1m", 5_720.4);
   ]
 
 let alloc_slack = 2.0
@@ -123,7 +110,7 @@ let bytes_slack = 1.25
 (* full run: 1,000,000 concurrent flows over EBONE, 128.2 B per entry
    (~6 entries per flow at EBONE path lengths), 771 MB peak RSS *)
 let bytes_baseline = [ ("flows_1m", 128.2) ]
-let bytes_baseline_smoke = [ ("flows_1m", 121.7) ]
+let bytes_baseline_smoke = [ ("flows_1m", 109.9) ]
 
 open Harness
 
@@ -452,8 +439,6 @@ let report ~smoke ~trials ~domains outcomes =
       ( "host_cores",
         Obs.Json.Num (float_of_int (Domain.recommended_domain_count ())) );
       ("benchmarks", Obs.Json.List (List.map outcome_json outcomes));
-      ( "baseline",
-        Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Num v)) baseline) );
       ( "alloc_baseline",
         Obs.Json.Obj
           (List.map (fun (k, v) -> (k, Obs.Json.Num v)) alloc_baseline) );
@@ -464,9 +449,8 @@ let report ~smoke ~trials ~domains outcomes =
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate.  Schema: shape must match exactly.  Allocation:
-   minor-words/event above [alloc_slack] x the frozen baseline fails.
-   Wall clock: advisory only — events/sec below the recorded floor
-   prints a warning but never fails (CI timing is too noisy). *)
+   minor-words/event above [alloc_slack] x the frozen baseline fails,
+   as does bytes/flow above [bytes_slack] x its baseline. *)
 
 let benchmark_fields_v3 =
   [ "name"; "events"; "wall_s"; "events_per_sec"; "chunks_delivered";
@@ -475,13 +459,13 @@ let benchmark_fields_v3 =
 let benchmark_fields =
   benchmark_fields_v3 @ [ "bytes_per_flow"; "peak_rss_bytes" ]
 
-(* (name, minor_words_per_event, events_per_sec, bytes_per_flow) *)
+(* (name, minor_words_per_event, bytes_per_flow) *)
 let gate ~smoke results =
   let table = if smoke then alloc_baseline_smoke else alloc_baseline in
   let btable = if smoke then bytes_baseline_smoke else bytes_baseline in
   let failures = ref 0 in
   List.iter
-    (fun (name, mwpe, eps, bpf) ->
+    (fun (name, mwpe, bpf) ->
       (match List.assoc_opt name btable with
       | Some base when bpf > bytes_slack *. base ->
         incr failures;
@@ -493,7 +477,7 @@ let gate ~smoke results =
           "ok   %-14s %8.1f bytes/flow (baseline %.1f, limit %.1f)\n" name bpf
           base (bytes_slack *. base)
       | None -> ());
-      (match List.assoc_opt name table with
+      match List.assoc_opt name table with
       | Some base when mwpe > alloc_slack *. base ->
         incr failures;
         Printf.eprintf
@@ -507,13 +491,7 @@ let gate ~smoke results =
         Printf.eprintf
           "FAIL %-14s has no frozen allocation baseline — add one to \
            bench/perf/perf.ml\n"
-          name);
-      match List.assoc_opt (name ^ "_events_per_sec") baseline with
-      | Some floor when eps < floor ->
-        Printf.printf
-          "note %-14s %12.0f ev/s below recorded floor %.0f (advisory)\n" name
-          eps floor
-      | _ -> ())
+          name)
     results;
   if !failures > 0 then begin
     Printf.eprintf "%d allocation regression(s)\n" !failures;
@@ -543,12 +521,13 @@ let check_file path =
     let version =
       match Obs.Json.member "schema" j with
       | Some (Obs.Json.Str s)
-        when s = schema_version || s = schema_v3 || s = schema_v2 ->
+        when s = schema_version || s = schema_v4 || s = schema_v3
+             || s = schema_v2 ->
         s
       | Some (Obs.Json.Str s) ->
         fail
-          ("schema is " ^ s ^ ", want " ^ schema_version ^ " (or " ^ schema_v3
-         ^ " / " ^ schema_v2 ^ ")")
+          ("schema is " ^ s ^ ", want " ^ schema_version ^ " (or " ^ schema_v4
+         ^ " / " ^ schema_v3 ^ " / " ^ schema_v2 ^ ")")
       | _ -> fail "missing string field: schema"
     in
     if version <> schema_v2 then
@@ -566,18 +545,9 @@ let check_file path =
     (match Obs.Json.member "rng_seed" j with
     | Some (Obs.Json.Num _) -> ()
     | _ -> fail "missing numeric field: rng_seed");
-    (match Obs.Json.member "baseline" j with
-    | Some (Obs.Json.Obj fields) ->
-      List.iter
-        (fun (k, _) ->
-          match List.assoc_opt k fields with
-          | Some (Obs.Json.Num _) -> ()
-          | _ -> fail ("baseline missing numeric field: " ^ k))
-        baseline
-    | _ -> fail "missing object field: baseline");
     let row_fields =
-      if version = schema_version then benchmark_fields
-      else benchmark_fields_v3
+      if version = schema_v3 || version = schema_v2 then benchmark_fields_v3
+      else benchmark_fields
     in
     let results =
       match Obs.Json.member "benchmarks" j with
@@ -606,10 +576,7 @@ let check_file path =
               | Some (Obs.Json.Num x) -> x
               | _ -> 0.
             in
-            ( str "name",
-              num "minor_words_per_event",
-              num "events_per_sec",
-              bpf ))
+            (str "name", num "minor_words_per_event", bpf))
           bs
       | _ -> fail "missing non-empty list field: benchmarks"
     in
@@ -737,6 +704,5 @@ let () =
            ( o.name,
              (if o.events > 0 then o.minor_words /. float_of_int o.events
               else 0.),
-             (if o.wall_s > 0. then float_of_int o.events /. o.wall_s else 0.),
              o.bytes_per_flow ))
          outcomes)

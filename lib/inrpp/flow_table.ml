@@ -11,7 +11,7 @@ let f_detour_override = 4
 let f_bp_outage = 8
 let f_failed_over = 16
 
-type 'hot soa = {
+type soa = {
   so_gap : float;
   so_slots : (int, int) Hashtbl.t; (* flow -> slot; owns iteration order *)
   mutable so_flow_of : int array;  (* slot -> flow, or free-list thread *)
@@ -21,17 +21,15 @@ type 'hot soa = {
   mutable so_flags : Bytes.t;
   mutable so_fl_last : float array; (* unboxed; nan = no flowlet pin yet *)
   mutable so_fl_route : int array;  (* -1 = Primary, else Via node id *)
-  mutable so_hots : 'hot option array;
   mutable so_next : int;           (* first never-used slot *)
   mutable so_free : int;           (* free-list head, -1 = empty *)
   mutable so_peak : int;
   mutable so_recycled : int;
 }
 
-(* the PR-5 record layout, kept verbatim as the differential reference
-   (hot lives inside the record; the flowlet table is separate and
-   keyed by flow id = slot) *)
-type 'hot lentry = {
+(* the PR-5 record layout, kept as the differential reference (the
+   flowlet table is separate and keyed by flow id = slot) *)
+type lentry = {
   le_content : int;
   mutable le_data_link : int;
   mutable le_req_link : int;
@@ -40,20 +38,19 @@ type 'hot lentry = {
   mutable le_detour_override : bool;
   mutable le_bp_outage : bool;
   mutable le_failed_over : bool;
-  mutable le_hot : 'hot option;
 }
 
-type 'hot legacy = {
-  lg_flows : (int, 'hot lentry) Hashtbl.t;
-  mutable lg_arr : 'hot lentry option array;
+type legacy = {
+  lg_flows : (int, lentry) Hashtbl.t;
+  mutable lg_arr : lentry option array;
   lg_flowlets : Flowlet.t;
   mutable lg_peak : int;
   mutable lg_recycled : int;
 }
 
-type 'hot t =
-  | Soa of 'hot soa
-  | Legacy of 'hot legacy
+type t =
+  | Soa of soa
+  | Legacy of legacy
 
 let create ~store ~gap () =
   if gap < 0. then invalid_arg "Flow_table.create: gap < 0";
@@ -70,7 +67,6 @@ let create ~store ~gap () =
         so_flags = Bytes.empty;
         so_fl_last = [||];
         so_fl_route = [||];
-        so_hots = [||];
         so_next = 0;
         so_free = -1;
         so_peak = 0;
@@ -103,10 +99,7 @@ let soa_grow s =
   s.so_fl_last <- fl;
   let fb = Bytes.make m '\000' in
   Bytes.blit s.so_flags 0 fb 0 n;
-  s.so_flags <- fb;
-  let hb = Array.make m None in
-  Array.blit s.so_hots 0 hb 0 n;
-  s.so_hots <- hb
+  s.so_flags <- fb
 
 let soa_alloc s =
   if s.so_free >= 0 then begin
@@ -183,7 +176,6 @@ let install t ~flow ~content ~data_link ~req_link =
     s.so_data_link.(slot) <- data_link;
     s.so_req_link.(slot) <- req_link;
     Bytes.unsafe_set s.so_flags slot '\000';
-    s.so_hots.(slot) <- None;
     slot
   | Legacy lg ->
     let entry =
@@ -196,7 +188,6 @@ let install t ~flow ~content ~data_link ~req_link =
         le_detour_override = false;
         le_bp_outage = false;
         le_failed_over = false;
-        le_hot = None;
       }
     in
     Hashtbl.replace lg.lg_flows flow entry;
@@ -213,7 +204,6 @@ let release t ~flow =
     | None -> ()
     | Some slot ->
       Hashtbl.remove s.so_slots flow;
-      s.so_hots.(slot) <- None;
       s.so_flow_of.(slot) <- -2 - s.so_free;
       s.so_free <- slot;
       s.so_recycled <- s.so_recycled + 1
@@ -305,16 +295,6 @@ let set_failed_over t slot v =
   | Soa s -> soa_set_flag s slot f_failed_over v
   | Legacy lg -> (lentry lg slot).le_failed_over <- v
 
-let hot t slot =
-  match t with
-  | Soa s -> s.so_hots.(slot)
-  | Legacy lg -> (lentry lg slot).le_hot
-
-let set_hot t slot h =
-  match t with
-  | Soa s -> s.so_hots.(slot) <- h
-  | Legacy lg -> (lentry lg slot).le_hot <- h
-
 let flowlet_choose t slot ~now ~preferred =
   match t with
   | Soa s ->
@@ -352,12 +332,12 @@ let approx_bytes t =
   match t with
   | Soa s ->
     let cap = Array.length s.so_flow_of in
-    (* five int arrays + one float array + the hot pointer array at 8
-       bytes a slot, one flag byte, plus ~3 words per live hashtable
-       binding and the bucket array *)
-    (cap * ((7 * 8) + 1)) + (live t * 24) + (cap * 4) + 128
+    (* five int arrays + one float array at 8 bytes a slot, one flag
+       byte, plus ~3 words per live hashtable binding and the bucket
+       array *)
+    (cap * ((6 * 8) + 1)) + (live t * 24) + (cap * 4) + 128
   | Legacy lg ->
     let cap = Array.length lg.lg_arr in
-    (* per flow: a 10-word entry record, ~3 words of hashtable binding,
+    (* per flow: a 9-word entry record, ~3 words of hashtable binding,
        a flowlet entry (record + binding), and the dense mirror slot *)
-    (cap * 8) + (live t * (80 + 24 + 48)) + 128
+    (cap * 8) + (live t * (72 + 24 + 48)) + 128

@@ -1,9 +1,12 @@
 (** Per-flow forwarding state, compacted.
 
     The router keeps one entry per flow crossing it: next hops for
-    data and requests, five back-pressure/fail-over flags, the flowlet
-    pin and a per-(flow, link) hot cache.  This module owns that state
-    behind a slot-indexed interface with two interchangeable layouts:
+    data and requests, five back-pressure/fail-over flags and the
+    flowlet pin.  Everything that belongs to an outgoing link rather
+    than a flow (interface, estimator, phase, detour candidates) lives
+    in the router's port table, not here.  This module owns the
+    per-flow state behind a slot-indexed interface with two
+    interchangeable layouts:
 
     - [`Soa] (default): int-indexed struct-of-arrays — packed int
       fields for identity and next hops (link {e ids}, [-1] = none), a
@@ -24,77 +27,72 @@
     slot at two words; resolve through [Topology.Graph.link] (O(1),
     returns the canonical physical link). *)
 
-type 'hot t
-(** ['hot] is the router's per-(flow, link) hot-cache record; the
-    table stores it opaquely so the layouts stay reusable. *)
+type t
 
-val create : store:[ `Soa | `Legacy ] -> gap:float -> unit -> 'hot t
+val create : store:[ `Soa | `Legacy ] -> gap:float -> unit -> t
 (** [gap] is the flowlet idle gap (see {!flowlet_choose}).
     @raise Invalid_argument if [gap < 0]. *)
 
-val find : 'hot t -> int -> int
+val find : t -> int -> int
 (** [find t flow] is the flow's slot, or [-1] when not installed. *)
 
 val install :
-  'hot t -> flow:int -> content:int -> data_link:int -> req_link:int -> int
+  t -> flow:int -> content:int -> data_link:int -> req_link:int -> int
 (** Install (or reinstall) a flow; returns its slot.  A reinstall
-    keeps the slot and the flowlet pin but resets links, flags and the
-    hot cache — exactly the legacy [Hashtbl.replace] semantics, where
-    the separate flowlet table survived reinstalls.
+    keeps the slot and the flowlet pin but resets links and flags —
+    exactly the legacy [Hashtbl.replace] semantics, where the separate
+    flowlet table survived reinstalls.
     @raise Invalid_argument if [flow < 0]. *)
 
-val release : 'hot t -> flow:int -> unit
+val release : t -> flow:int -> unit
 (** Free the flow's slot onto the free list (counted in {!recycled});
     a later {!install} may hand the slot to a different flow.  No-op
     when the flow is not installed. *)
 
-val flow_of : 'hot t -> int -> int
+val flow_of : t -> int -> int
 (** Inverse of {!find} for live slots. *)
 
-val content : 'hot t -> int -> int
+val content : t -> int -> int
 
-val data_link : 'hot t -> int -> int
+val data_link : t -> int -> int
 (** Next-hop link id towards the consumer; [-1] = none (consumer node). *)
 
-val req_link : 'hot t -> int -> int
+val req_link : t -> int -> int
 (** Next-hop link id towards the producer; [-1] = none (producer node). *)
 
-val set_links : 'hot t -> int -> data_link:int -> req_link:int -> unit
+val set_links : t -> int -> data_link:int -> req_link:int -> unit
 
-val bp_local : 'hot t -> int -> bool
-val set_bp_local : 'hot t -> int -> bool -> unit
-val bp_forwarded : 'hot t -> int -> bool
-val set_bp_forwarded : 'hot t -> int -> bool -> unit
-val detour_override : 'hot t -> int -> bool
-val set_detour_override : 'hot t -> int -> bool -> unit
-val bp_outage : 'hot t -> int -> bool
-val set_bp_outage : 'hot t -> int -> bool -> unit
-val failed_over : 'hot t -> int -> bool
-val set_failed_over : 'hot t -> int -> bool -> unit
-
-val hot : 'hot t -> int -> 'hot option
-val set_hot : 'hot t -> int -> 'hot option -> unit
+val bp_local : t -> int -> bool
+val set_bp_local : t -> int -> bool -> unit
+val bp_forwarded : t -> int -> bool
+val set_bp_forwarded : t -> int -> bool -> unit
+val detour_override : t -> int -> bool
+val set_detour_override : t -> int -> bool -> unit
+val bp_outage : t -> int -> bool
+val set_bp_outage : t -> int -> bool -> unit
+val failed_over : t -> int -> bool
+val set_failed_over : t -> int -> bool -> unit
 
 val flowlet_choose :
-  'hot t -> int -> now:float -> preferred:Flowlet.route -> Flowlet.route
+  t -> int -> now:float -> preferred:Flowlet.route -> Flowlet.route
 (** Per-slot flowlet pinning with {!Flowlet.choose} semantics: the
     first call pins [preferred]; later calls return the pin, replacing
     it with [preferred] only after an idle gap longer than [gap]. *)
 
-val iter : 'hot t -> (int -> int -> unit) -> unit
+val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f flow slot] for every live entry, in the
     layout-independent hashtable order (see module doc). *)
 
-val live : _ t -> int
+val live : t -> int
 (** Installed entries right now. *)
 
-val peak : _ t -> int
+val peak : t -> int
 (** High-water mark of {!live} over the table's lifetime. *)
 
-val recycled : _ t -> int
+val recycled : t -> int
 (** Slots returned to the free list by {!release}. *)
 
-val approx_bytes : _ t -> int
+val approx_bytes : t -> int
 (** Estimated retained heap for the per-flow state (arrays at current
     capacity plus hashtable overhead; the legacy layout counts its
     records).  An accounting estimate for gauges and reports — the

@@ -23,44 +23,35 @@ type counters = {
 }
 
 (* A detour candidate with everything the per-packet usability scan
-   needs resolved ahead of time: hop interfaces, their admission
-   limits, and (lazily) the first hop's estimator.  The static
-   conditions — depth bound, every hop up — are folded into cache
-   membership; only queue room is re-checked per scan, so the scan
-   allocates nothing. *)
+   needs resolved ahead of time: hop interfaces and their admission
+   limits.  The static conditions — depth bound, every hop up — are
+   folded into cache membership; only queue room is re-checked per
+   scan, so the scan allocates nothing. *)
 type dcand = {
   dc_first : Link.t;
   dc_via : Topology.Node.id;       (* first hop's dst: the flowlet pin *)
   dc_rest : Topology.Node.id list; (* source route after the first hop *)
   dc_ifaces : Iface.t array;       (* every hop, candidate order *)
   dc_limits : float array;         (* threshold * capacity per hop *)
-  mutable dc_est : Rate_estimator.t option;
 }
 
-(* Per-link candidate cache, invalidated by generation: every
-   link-state flip and every crash bumps [ls_gen], so a stale
-   generation means the static filter must be recomputed.  Between
-   bumps, up-ness cannot change (all transitions go through
-   [on_link_down]/[on_link_up]). *)
-type dcache = {
-  mutable dk_gen : int;
-  mutable dk_cands : dcand array;
-}
-
-(* Hot-path state resolved once per (flow, data link) instead of per
-   packet: interface handle, queue-admission limit, and lazy
-   phase/estimator references.  Dropped whenever the flow's link
-   changes (reroute) or control state dies (crash); the lazy fields
-   resolve through the same [phase]/[estimator] functions as before,
-   so creation instants — observable through the sampler's
-   [estimator_links] probe set — are unchanged. *)
-type hot = {
-  h_link : Link.t;
-  h_iface : Iface.t;
-  h_limit : float;                 (* threshold * capacity of h_iface *)
-  mutable h_phase : Phase.t option;
-  mutable h_est : Rate_estimator.t option;
-  mutable h_dcache : dcache option;
+(* One per outgoing link, in [Graph.out_links] order: the state the
+   paper runs per interface (§3.3).  The estimator and phase are
+   created lazily, on the first packet, request or tick that needs
+   them, so creation instants — observable through the sampler's
+   [estimator_links] probe set — follow the traffic.  The detour
+   candidates are invalidated by generation: every link-state flip and
+   every crash bumps [ls_gen], so a stale [p_gen] means the static
+   filter must be recomputed.  Between bumps, up-ness cannot change
+   (all transitions go through [on_link_down]/[on_link_up]). *)
+type port = {
+  p_link : Link.t;
+  p_iface : Iface.t;
+  p_limit : float;                 (* threshold * capacity of p_iface *)
+  mutable p_est : Rate_estimator.t option;
+  mutable p_phase : Phase.t option;
+  mutable p_gen : int;
+  mutable p_cands : dcand array;
 }
 
 type t = {
@@ -70,18 +61,16 @@ type t = {
   detours : Detour_table.t;
   link_state : Topology.Link_state.t option;
   trace : Trace.t option;
-  (* per-flow forwarding state: next hops as link ids, flag bitfield,
-     flowlet pin and hot cache, slot-indexed with free-list recycling
+  (* per-flow forwarding state: next hops as link ids, flag bitfield
+     and flowlet pin, slot-indexed with free-list recycling
      (struct-of-arrays by default, the record layout as the
      differential reference — see Flow_table) *)
-  ft : hot Ft.t;
+  ft : Ft.t;
+  ports : port array;             (* indexed by Graph.out_index *)
   store : Cache.t;
   custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
-  estimators : (int, Rate_estimator.t) Hashtbl.t;
-  phases : (int, Phase.t) Hashtbl.t;
-  dcaches : (int, dcache) Hashtbl.t;
   c : counters;
-  mutable ls_gen : int;           (* link-state generation, see dcache *)
+  mutable ls_gen : int;           (* link-state generation, see port *)
   mutable bp_locals : int;        (* entries with bp_local = true *)
   mutable local_producer : (Packet.t -> unit) option;
   mutable local_consumer : (Packet.t -> unit) option;
@@ -92,6 +81,18 @@ type t = {
 }
 
 let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
+  let port (l : Link.t) =
+    let i = Net.iface net l.Link.id in
+    {
+      p_link = l;
+      p_iface = i;
+      p_limit = cfg.Config.detour_queue_threshold *. Iface.queue_capacity i;
+      p_est = None;
+      p_phase = None;
+      p_gen = -1;
+      p_cands = [||];
+    }
+  in
   {
     cfg;
     net;
@@ -101,15 +102,15 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
     trace;
     ft =
       Ft.create ~store:cfg.Config.flow_store ~gap:cfg.Config.flowlet_gap ();
+    ports =
+      Array.of_list
+        (List.map port (Topology.Graph.out_links (Net.graph net) node));
     store =
       Cache.create ~high_water:cfg.Config.cache_high_water
         ~low_water:cfg.Config.cache_low_water
         ?policy:(Option.bind overload (fun ov -> Overload.Config.policy ov))
         ~capacity:cfg.Config.cache_bits ();
     custody_packets = Hashtbl.create 64;
-    estimators = Hashtbl.create 8;
-    phases = Hashtbl.create 8;
-    dcaches = Hashtbl.create 8;
     c =
       {
         forwarded_data = 0;
@@ -138,10 +139,13 @@ let set_neighbor_pressure t f = t.neighbor_pressure <- Some f
 
 let now t = Sim.Engine.now (Net.engine t.net)
 
-(* canonical link object for a stored id: Graph.link is O(1) and
-   returns the same physical Link.t the adjacency lists hold, so the
-   hot cache's [h_link == l] identity check keeps working *)
+(* canonical link object for a stored id (Graph.link is O(1)) *)
 let link_of t id = Topology.Graph.link (Net.graph t.net) id
+
+(* the port of link [id], which must leave this node: data links,
+   detour first hops and source-routed next hops all do; callers
+   holding an arbitrary id test [owns] first *)
+let port_of t id = t.ports.(Topology.Graph.out_index (Net.graph t.net) id)
 
 let record t e =
   match t.trace with
@@ -183,27 +187,27 @@ let record_evacuated t ~flow ~idx =
       (Trace.Custody_evacuated { node = t.node_id; flow; idx })
   | Some _ | None -> ()
 
-let estimator t (l : Link.t) =
-  match Hashtbl.find t.estimators l.Link.id with
-  | e -> e
-  | exception Not_found ->
+let estimator t pt =
+  match pt.p_est with
+  | Some e -> e
+  | None ->
     let e =
       Rate_estimator.create ~ti:t.cfg.Config.ti
         ~alpha:t.cfg.Config.estimator_alpha
-        ~capacity:(l.Link.capacity *. t.cfg.Config.speed_factor)
+        ~capacity:(pt.p_link.Link.capacity *. t.cfg.Config.speed_factor)
     in
-    Hashtbl.add t.estimators l.Link.id e;
+    pt.p_est <- Some e;
     e
 
-let phase t (l : Link.t) =
-  match Hashtbl.find t.phases l.Link.id with
-  | p -> p
-  | exception Not_found ->
+let phase t pt =
+  match pt.p_phase with
+  | Some p -> p
+  | None ->
     let p =
       Phase.create ~engage:t.cfg.Config.engage_ratio
         ~release:t.cfg.Config.release_ratio
     in
-    Hashtbl.add t.phases l.Link.id p;
+    pt.p_phase <- Some p;
     p
 
 (* ------------------------------------------------------------------ *)
@@ -264,27 +268,15 @@ let build_cands t (l : Link.t) =
            dc_rest = cand.Detour_table.rest;
            dc_ifaces = ifaces;
            dc_limits = limits;
-           dc_est = None;
          })
        usable)
 
-let refresh_dcache t (l : Link.t) dk =
-  if dk.dk_gen <> t.ls_gen then begin
-    dk.dk_cands <- build_cands t l;
-    dk.dk_gen <- t.ls_gen
-  end
-
-let dcache_of t (l : Link.t) =
-  let dk =
-    match Hashtbl.find t.dcaches l.Link.id with
-    | dk -> dk
-    | exception Not_found ->
-      let dk = { dk_gen = t.ls_gen - 1; dk_cands = [||] } in
-      Hashtbl.add t.dcaches l.Link.id dk;
-      dk
-  in
-  refresh_dcache t l dk;
-  dk
+let cands t pt =
+  if pt.p_gen <> t.ls_gen then begin
+    pt.p_cands <- build_cands t pt.p_link;
+    pt.p_gen <- t.ls_gen
+  end;
+  pt.p_cands
 
 (* Detour refusal into pressured neighbours: with overload control on,
    a candidate whose first hop lands on a neighbour already above the
@@ -312,73 +304,21 @@ let cand_ok t (c : dcand) =
   in
   ok 0 && cand_pressure_ok t c
 
-let first_usable t dk =
-  let n = Array.length dk.dk_cands in
+let first_usable t cs =
+  let n = Array.length cs in
   let rec go i =
-    if i >= n then -1 else if cand_ok t dk.dk_cands.(i) then i else go (i + 1)
+    if i >= n then -1 else if cand_ok t cs.(i) then i else go (i + 1)
   in
   go 0
 
-let usable_with_via t dk via =
-  let n = Array.length dk.dk_cands in
+let usable_with_via t cs via =
+  let n = Array.length cs in
   let rec go i =
     if i >= n then -1
-    else if dk.dk_cands.(i).dc_via = via && cand_ok t dk.dk_cands.(i) then i
+    else if cs.(i).dc_via = via && cand_ok t cs.(i) then i
     else go (i + 1)
   in
   go 0
-
-(* ------------------------------------------------------------------ *)
-(* Per-flow hot state *)
-
-let hot_of t slot (l : Link.t) =
-  match Ft.hot t.ft slot with
-  | Some h when h.h_link == l -> h
-  | Some _ | None ->
-    let i = Net.iface t.net l.Link.id in
-    let h =
-      {
-        h_link = l;
-        h_iface = i;
-        h_limit = t.cfg.Config.detour_queue_threshold *. Iface.queue_capacity i;
-        h_phase = None;
-        h_est = None;
-        h_dcache = None;
-      }
-    in
-    Ft.set_hot t.ft slot (Some h);
-    h
-
-let hot_phase t h =
-  match h.h_phase with
-  | Some p -> p
-  | None ->
-    let p = phase t h.h_link in
-    h.h_phase <- Some p;
-    p
-
-let hot_est t h =
-  match h.h_est with
-  | Some e -> e
-  | None ->
-    let e = estimator t h.h_link in
-    h.h_est <- Some e;
-    e
-
-let hot_dcache t h =
-  match h.h_dcache with
-  | Some dk ->
-    refresh_dcache t h.h_link dk;
-    dk
-  | None ->
-    let dk = dcache_of t h.h_link in
-    h.h_dcache <- Some dk;
-    dk
-
-let slot_dcache t slot (l : Link.t) =
-  match Ft.hot t.ft slot with
-  | Some h when h.h_link == l -> hot_dcache t h
-  | Some _ | None -> dcache_of t l
 
 (* ------------------------------------------------------------------ *)
 (* Back-pressure signalling *)
@@ -438,7 +378,6 @@ let reroute_flow t ?content ~flow ~data_link ~req_link () =
   else begin
     Ft.set_links t.ft slot ~data_link:(link_id data_link)
       ~req_link:(link_id req_link);
-    Ft.set_hot t.ft slot None;
     match data_link with
     | Some l when link_is_up t l ->
       Ft.set_failed_over t.ft slot false;
@@ -536,15 +475,9 @@ let send_detour t flow (c : dcand) (p : Packet.t) =
       }
     | Packet.Request _ | Packet.Backpressure _ -> p
   in
-  let est =
-    match c.dc_est with
-    | Some e -> e
-    | None ->
-      let e = estimator t c.dc_first in
-      c.dc_est <- Some e;
-      e
-  in
-  Rate_estimator.note_transit est ~bits:p.Packet.size;
+  Rate_estimator.note_transit
+    (estimator t (port_of t c.dc_first.Link.id))
+    ~bits:p.Packet.size;
   match Net.send t.net ~via:c.dc_first p' with
   | `Queued ->
     t.c.detoured <- t.c.detoured + 1;
@@ -561,12 +494,12 @@ let send_detour t flow (c : dcand) (p : Packet.t) =
    custody when no detour has queue room — including when the chosen
    detour's admission fails under the candidate check (a race with new
    arrivals, or an interface that just went down). *)
-let try_detour t slot flow (l : Link.t) (p : Packet.t) =
-  let dk = slot_dcache t slot l in
-  let fi = first_usable t dk in
+let try_detour t slot flow pt (p : Packet.t) =
+  let cs = cands t pt in
+  let fi = first_usable t cs in
   if fi < 0 then custody t slot flow p
   else begin
-    let first = dk.dk_cands.(fi) in
+    let first = cs.(fi) in
     let pinned =
       Ft.flowlet_choose t.ft slot ~now:(now t)
         ~preferred:(Flowlet.Via first.dc_via)
@@ -576,8 +509,8 @@ let try_detour t slot flow (l : Link.t) (p : Packet.t) =
       | Flowlet.Via via ->
         if via = first.dc_via then first
         else begin
-          let vi = usable_with_via t dk via in
-          if vi >= 0 then dk.dk_cands.(vi)
+          let vi = usable_with_via t cs via in
+          if vi >= 0 then cs.(vi)
           else first (* pinned detour filled up; re-route *)
         end
       | Flowlet.Primary -> first
@@ -596,16 +529,16 @@ let maybe_cache_popular t slot (p : Packet.t) =
     | Packet.Request _ | Packet.Backpressure _ -> ()
   end
 
-let forward_on_primary t slot flow (l : Link.t) (p : Packet.t) =
-  match Net.send t.net ~via:l p with
+let forward_on_primary t slot flow pt (p : Packet.t) =
+  match Net.send t.net ~via:pt.p_link p with
   | `Queued ->
     t.c.forwarded_data <- t.c.forwarded_data + 1;
-    record_enqueued t ~link:l.Link.id p
+    record_enqueued t ~link:pt.p_link.Link.id p
   | `Dropped ->
     (* overflowing queue falls through to detours, then custody —
        congestion is handled locally even before the estimator
        notices it *)
-    try_detour t slot flow l p
+    try_detour t slot flow pt p
 
 let forward_primary_path t slot flow (p : Packet.t) =
   maybe_cache_popular t slot p;
@@ -616,30 +549,29 @@ let forward_primary_path t slot flow (p : Packet.t) =
     | None -> t.c.dropped <- t.c.dropped + 1
   end
   else begin
-    let l = link_of t dl in
-    let h = hot_of t slot l in
-    if not (link_is_up t l) then
+    let pt = port_of t dl in
+    if not (link_is_up t pt.p_link) then
       (* primary interface is down: go straight to the detour set (the
          paper's detour phase, triggered by outage rather than rate);
          custody is the fallback when no detour survives *)
-      try_detour t slot flow l p
+      try_detour t slot flow pt p
     else
-      let ph = Phase.current (hot_phase t h) in
+      let ph = Phase.current (phase t pt) in
       let effective =
         if Ft.detour_override t.ft slot && ph = Phase.Push_data then
           Phase.Detour
         else ph
       in
       match effective with
-      | Phase.Push_data -> forward_on_primary t slot flow l p
+      | Phase.Push_data -> forward_on_primary t slot flow pt p
       | Phase.Detour ->
-        if Iface.queue_occupancy h.h_iface < h.h_limit then begin
+        if Iface.queue_occupancy pt.p_iface < pt.p_limit then begin
           ignore
             (Ft.flowlet_choose t.ft slot ~now:(now t)
                ~preferred:Flowlet.Primary);
-          forward_on_primary t slot flow l p
+          forward_on_primary t slot flow pt p
         end
-        else try_detour t slot flow l p
+        else try_detour t slot flow pt p
       | Phase.Backpressure -> custody t slot flow p
   end
 
@@ -657,7 +589,9 @@ let handle_data t (p : Packet.t) =
         let p' =
           { p with Packet.header = Packet.Data { d with detour_route = rest } }
         in
-        Rate_estimator.note_transit (estimator t l) ~bits:p.Packet.size;
+        Rate_estimator.note_transit
+          (estimator t (port_of t l.Link.id))
+          ~bits:p.Packet.size;
         (match Net.send t.net ~via:l p' with
         | `Queued ->
           t.c.forwarded_data <- t.c.forwarded_data + 1;
@@ -731,8 +665,7 @@ let handle_request t (p : Packet.t) =
          the data interface (eq. 1 bookkeeping) *)
       let dl = Ft.data_link t.ft slot in
       if dl >= 0 then
-        Rate_estimator.note_request
-          (hot_est t (hot_of t slot (link_of t dl)))
+        Rate_estimator.note_request (estimator t (port_of t dl))
           ~expected_bits:t.cfg.Config.chunk_bits;
       let rl = Ft.req_link t.ft slot in
       if rl >= 0 then ignore (Net.send t.net ~via:(link_of t rl) p)
@@ -756,7 +689,7 @@ let handle_backpressure t (p : Packet.t) =
          notification towards the sender *)
       let can_absorb =
         let dl = Ft.data_link t.ft slot in
-        dl >= 0 && first_usable t (slot_dcache t slot (link_of t dl)) >= 0
+        dl >= 0 && first_usable t (cands t (port_of t dl)) >= 0
       in
       if can_absorb then Ft.set_detour_override t.ft slot true
       else begin
@@ -819,25 +752,30 @@ let release_flow t ~flow =
 (* Periodic work *)
 
 let tick t =
-  if t.crashed then ()
-  else
-    Hashtbl.iter
-      (fun link_id est ->
+  if not t.crashed then
+    for i = 0 to Array.length t.ports - 1 do
+      let pt = t.ports.(i) in
+      match pt.p_est with
+      | None -> ()
+      | Some est ->
         Rate_estimator.tick est;
-        let l = Topology.Graph.link (Net.graph t.net) link_id in
-        let ph = phase t l in
+        let ph = phase t pt in
         let before = Phase.current ph in
         let after =
           Phase.update ph ~ratio:(Rate_estimator.ratio est)
-            ~detour_usable:(first_usable t (dcache_of t l) >= 0)
+            ~detour_usable:(first_usable t (cands t pt) >= 0)
             ~custody_pressure:(Cache.above_high t.store)
             ~custody_drained:(Cache.below_low t.store)
         in
         if before <> after then
           record t
             (Trace.Phase_change
-               { node = t.node_id; link = link_id; phase = Phase.to_string after }))
-      t.estimators
+               {
+                 node = t.node_id;
+                 link = pt.p_link.Link.id;
+                 phase = Phase.to_string after;
+               })
+    done
 
 let drain t =
   if t.crashed then ()
@@ -853,17 +791,16 @@ let drain t =
           let dl = Ft.data_link t.ft slot in
           if dl < 0 then false
           else begin
-            let l = link_of t dl in
-            let h = hot_of t slot l in
+            let pt = port_of t dl in
             let out =
               if
-                link_is_up t l
-                && Iface.queue_occupancy h.h_iface < h.h_limit
+                link_is_up t pt.p_link
+                && Iface.queue_occupancy pt.p_iface < pt.p_limit
               then `Primary
               else begin
-                let dk = hot_dcache t h in
-                let fi = first_usable t dk in
-                if fi >= 0 then `Detour dk.dk_cands.(fi) else `None
+                let cs = cands t pt in
+                let fi = first_usable t cs in
+                if fi >= 0 then `Detour cs.(fi) else `None
               end
             in
             match out with
@@ -893,10 +830,10 @@ let drain t =
                   let sent =
                     match out with
                     | `Primary -> begin
-                      match Net.send t.net ~via:l p with
+                      match Net.send t.net ~via:pt.p_link p with
                       | `Queued ->
                         t.c.forwarded_data <- t.c.forwarded_data + 1;
-                        record_enqueued t ~link:l.Link.id p;
+                        record_enqueued t ~link:dl p;
                         true
                       | `Dropped -> false
                     end
@@ -959,9 +896,9 @@ let on_link_down t _link_id =
     Ft.iter t.ft (fun flow slot ->
         let dl = Ft.data_link t.ft slot in
         if dl >= 0 then begin
-          let l = link_of t dl in
-          if not (link_is_up t l) then
-            if first_usable t (slot_dcache t slot l) >= 0 then begin
+          let pt = port_of t dl in
+          if not (link_is_up t pt.p_link) then
+            if first_usable t (cands t pt) >= 0 then begin
               if not (Ft.failed_over t.ft slot) then begin
                 Ft.set_failed_over t.ft slot true;
                 t.c.failovers <- t.c.failovers + 1
@@ -978,13 +915,13 @@ let on_link_up t _link_id =
     Ft.iter t.ft (fun flow slot ->
         let dl = Ft.data_link t.ft slot in
         if dl >= 0 then begin
-          let l = link_of t dl in
-          if link_is_up t l then begin
+          let pt = port_of t dl in
+          if link_is_up t pt.p_link then begin
             Ft.set_failed_over t.ft slot false;
             if Ft.bp_outage t.ft slot then
               release_local t slot ~flow ~which:`Outage
           end
-          else if first_usable t (slot_dcache t slot l) >= 0 then begin
+          else if first_usable t (cands t pt) >= 0 then begin
             (* primary still down but a detour came back *)
             if Ft.bp_outage t.ft slot then
               release_local t slot ~flow ~which:`Outage;
@@ -1001,19 +938,19 @@ let crash t ~policy =
   if t.crashed then []
   else begin
     t.crashed <- true;
-    (* control state is volatile under every policy; hot caches hold
-       references into the estimator/phase tables being reset, so they
-       die with it *)
+    (* control state is volatile under every policy *)
     Ft.iter t.ft (fun _ slot ->
         Ft.set_bp_local t.ft slot false;
         Ft.set_bp_forwarded t.ft slot false;
         Ft.set_detour_override t.ft slot false;
         Ft.set_bp_outage t.ft slot false;
-        Ft.set_failed_over t.ft slot false;
-        Ft.set_hot t.ft slot None);
+        Ft.set_failed_over t.ft slot false);
     t.bp_locals <- 0;
-    Hashtbl.reset t.estimators;
-    Hashtbl.reset t.phases;
+    Array.iter
+      (fun pt ->
+        pt.p_est <- None;
+        pt.p_phase <- None)
+      t.ports;
     t.ls_gen <- t.ls_gen + 1;
     match policy with
     | `Preserve -> []
@@ -1042,19 +979,42 @@ let restart t = t.crashed <- false
 
 let is_crashed t = t.crashed
 
+(* The sampler probes every interface through these, so they test
+   ownership instead of building an intermediate [Some port]: the only
+   allocation is the result. *)
+let owns t link_id =
+  let g = Net.graph t.net in
+  link_id >= 0
+  && link_id < Topology.Graph.link_count g
+  && (Topology.Graph.link g link_id).Link.src = t.node_id
+
 let phase_of_link t link_id =
-  Option.map Phase.current (Hashtbl.find_opt t.phases link_id)
+  if not (owns t link_id) then None
+  else
+    match (port_of t link_id).p_phase with
+    | Some p -> Some (Phase.current p)
+    | None -> None
 
 let anticipated_rate_of_link t link_id =
-  Option.map Rate_estimator.anticipated_rate
-    (Hashtbl.find_opt t.estimators link_id)
+  if not (owns t link_id) then None
+  else
+    match (port_of t link_id).p_est with
+    | Some e -> Some (Rate_estimator.anticipated_rate e)
+    | None -> None
 
 let ratio_of_link t link_id =
-  Option.map Rate_estimator.ratio (Hashtbl.find_opt t.estimators link_id)
+  if not (owns t link_id) then None
+  else
+    match (port_of t link_id).p_est with
+    | Some e -> Some (Rate_estimator.ratio e)
+    | None -> None
 
 let estimator_links t =
   List.sort Int.compare
-    (Hashtbl.fold (fun link_id _ acc -> link_id :: acc) t.estimators [])
+    (Array.fold_left
+       (fun acc pt ->
+         match pt.p_est with Some _ -> pt.p_link.Link.id :: acc | None -> acc)
+       [] t.ports)
 
 let bp_active_flows t =
   let n = ref 0 in
@@ -1073,4 +1033,7 @@ let node t = t.node_id
 let custody_packet_count t = Hashtbl.length t.custody_packets
 
 let phase_transitions t =
-  Hashtbl.fold (fun _ p acc -> acc + Phase.transitions p) t.phases 0
+  Array.fold_left
+    (fun acc pt ->
+      match pt.p_phase with Some p -> acc + Phase.transitions p | None -> acc)
+    0 t.ports

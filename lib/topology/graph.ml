@@ -8,6 +8,7 @@ type t = {
   link_arr : Link.t array;
   out_adj : Link.t list array;   (* out-links per node, insertion order *)
   in_adj : Link.t list array;
+  out_pos : int array;           (* link id -> position in its src's out_adj *)
   by_endpoints : (int, Link.t) Hashtbl.t;
 }
 
@@ -82,7 +83,11 @@ module Builder = struct
       link_arr;
     Array.iteri (fun i ls -> out_adj.(i) <- List.rev ls) out_adj;
     Array.iteri (fun i ls -> in_adj.(i) <- List.rev ls) in_adj;
-    { node_arr; link_arr; out_adj; in_adj; by_endpoints }
+    let out_pos = Array.make (Array.length link_arr) 0 in
+    Array.iter
+      (List.iteri (fun i (l : Link.t) -> out_pos.(l.Link.id) <- i))
+      out_adj;
+    { node_arr; link_arr; out_adj; in_adj; out_pos; by_endpoints }
 end
 
 let of_edges ?capacity ?delay n pairs =
@@ -104,6 +109,7 @@ let in_links g u = g.in_adj.(u)
 let succs g u = List.map (fun (l : Link.t) -> l.Link.dst) g.out_adj.(u)
 let preds g u = List.map (fun (l : Link.t) -> l.Link.src) g.in_adj.(u)
 let out_degree g u = List.length g.out_adj.(u)
+let out_index g id = g.out_pos.(id)
 
 let find_link g u v = Hashtbl.find_opt g.by_endpoints (endpoint_key u v)
 

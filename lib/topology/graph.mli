@@ -57,6 +57,11 @@ val succs : t -> Node.id -> Node.id list
 val preds : t -> Node.id -> Node.id list
 val out_degree : t -> Node.id -> int
 
+val out_index : t -> int -> int
+(** [out_index g id] is the position of link [id] in
+    [out_links g (link g id).src], so per-node state kept in an array
+    ordered like the out-list is found in O(1). *)
+
 val find_link : t -> Node.id -> Node.id -> Link.t option
 (** First directed link [u -> v] if any. *)
 

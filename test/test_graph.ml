@@ -247,6 +247,31 @@ let test_builder_shapes () =
   check_shape "dumbbell" (Builders.dumbbell 3) 8 7;
   check_shape "fig3" (Builders.fig3 ()) 4 5
 
+(* every link sits at [out_index] in its source's out-list, the
+   invariant the router's per-port arrays index by *)
+let test_out_index () =
+  let check name g =
+    Graph.iter_links
+      (fun (l : Link.t) ->
+        let i = Graph.out_index g l.Link.id in
+        let outs = Graph.out_links g l.Link.src in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: link %d at out_index %d" name l.Link.id i)
+          true
+          (i >= 0 && i < List.length outs && List.nth outs i == l))
+      g
+  in
+  check "line" (Builders.line 5);
+  check "ring" (Builders.ring 6);
+  check "star" (Builders.star 4);
+  check "mesh" (Builders.full_mesh 5);
+  check "grid" (Builders.grid 3 4);
+  check "tree" (Builders.binary_tree 3);
+  check "dumbbell" (Builders.dumbbell 3);
+  check "fig3" (Builders.fig3 ());
+  check "waxman" (Builders.waxman ~seed:5L ~alpha:0.9 ~beta:0.3 30);
+  check "ebone" (Isp_zoo.graph Isp_zoo.Ebone)
+
 let test_builder_validation () =
   let expect_invalid f =
     match f () with
@@ -388,6 +413,7 @@ let () =
       ( "builders",
         [
           Alcotest.test_case "shapes" `Quick test_builder_shapes;
+          Alcotest.test_case "out_index" `Quick test_out_index;
           Alcotest.test_case "validation" `Quick test_builder_validation;
           Alcotest.test_case "random deterministic" `Quick test_random_builders_deterministic;
           Alcotest.test_case "barabasi-albert degrees" `Quick test_barabasi_albert_degrees;

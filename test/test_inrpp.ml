@@ -40,7 +40,7 @@ module Ft = Inrpp.Flow_table
 (* the tests are generic over the layout; the registry instantiates
    them for [`Soa] and [`Legacy] so a divergence names the layout *)
 let ft_install_release store () =
-  let t : unit Ft.t = Ft.create ~store ~gap:0.5 () in
+  let t = Ft.create ~store ~gap:0.5 () in
   Alcotest.(check int) "empty find" (-1) (Ft.find t 7);
   Alcotest.(check int) "empty live" 0 (Ft.live t);
   let s = Ft.install t ~flow:7 ~content:42 ~data_link:3 ~req_link:(-1) in
@@ -63,7 +63,7 @@ let ft_install_release store () =
   Alcotest.(check bool) "bytes accounted" true (Ft.approx_bytes t > 0)
 
 let ft_slot_recycling store () =
-  let t : unit Ft.t = Ft.create ~store ~gap:0.5 () in
+  let t = Ft.create ~store ~gap:0.5 () in
   let slots =
     List.init 8 (fun f ->
         Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
@@ -83,13 +83,12 @@ let ft_slot_recycling store () =
   Alcotest.(check int) "live" 7 (Ft.live t)
 
 let ft_reinstall_semantics store () =
-  let t : int Ft.t = Ft.create ~store ~gap:0.5 () in
+  let t = Ft.create ~store ~gap:0.5 () in
   let s = Ft.install t ~flow:3 ~content:1 ~data_link:4 ~req_link:4 in
   Ft.set_bp_local t s true;
   Ft.set_failed_over t s true;
-  Ft.set_hot t s (Some 99);
-  (* pin the flowlet, then reinstall: slot and pin survive, links,
-     flags and hot cache reset (legacy Hashtbl.replace semantics) *)
+  (* pin the flowlet, then reinstall: slot and pin survive, links and
+     flags reset (legacy Hashtbl.replace semantics) *)
   let pinned = Ft.flowlet_choose t s ~now:1.0 ~preferred:(Inrpp.Flowlet.Via 2) in
   Alcotest.(check bool) "pin taken" true (pinned = Inrpp.Flowlet.Via 2);
   let s' = Ft.install t ~flow:3 ~content:8 ~data_link:(-1) ~req_link:(-1) in
@@ -97,14 +96,13 @@ let ft_reinstall_semantics store () =
   Alcotest.(check int) "content reset" 8 (Ft.content t s');
   Alcotest.(check bool) "bp flag reset" false (Ft.bp_local t s');
   Alcotest.(check bool) "failover flag reset" false (Ft.failed_over t s');
-  Alcotest.(check bool) "hot cache reset" true (Ft.hot t s' = None);
   Alcotest.(check bool) "flowlet pin survives (within gap)" true
     (Ft.flowlet_choose t s' ~now:1.1 ~preferred:Inrpp.Flowlet.Primary
     = Inrpp.Flowlet.Via 2);
   Alcotest.(check int) "reinstall is not a release" 0 (Ft.recycled t)
 
 let ft_flags_roundtrip store () =
-  let t : unit Ft.t = Ft.create ~store ~gap:0.5 () in
+  let t = Ft.create ~store ~gap:0.5 () in
   let s = Ft.install t ~flow:0 ~content:0 ~data_link:(-1) ~req_link:(-1) in
   let flags =
     [
@@ -145,16 +143,16 @@ let test_ft_iter_order_parity () =
     Ft.iter t (fun flow _ -> order := flow :: !order);
     List.rev !order
   in
-  let soa : unit Ft.t = Ft.create ~store:`Soa ~gap:0.5 () in
-  let legacy : unit Ft.t = Ft.create ~store:`Legacy ~gap:0.5 () in
+  let soa = Ft.create ~store:`Soa ~gap:0.5 () in
+  let legacy = Ft.create ~store:`Legacy ~gap:0.5 () in
   Alcotest.(check (list int))
     "iteration order identical across layouts" (history legacy) (history soa)
 
 let test_ft_invalid_args () =
   Alcotest.check_raises "negative gap"
     (Invalid_argument "Flow_table.create: gap < 0") (fun () ->
-      ignore (Ft.create ~store:`Soa ~gap:(-1.) () : unit Ft.t));
-  let t : unit Ft.t = Ft.create ~store:`Soa ~gap:0.5 () in
+      ignore (Ft.create ~store:`Soa ~gap:(-1.) () : Ft.t));
+  let t = Ft.create ~store:`Soa ~gap:0.5 () in
   Alcotest.check_raises "negative flow"
     (Invalid_argument "Flow_table.install: flow < 0") (fun () ->
       ignore (Ft.install t ~flow:(-1) ~content:0 ~data_link:0 ~req_link:0))
@@ -360,7 +358,7 @@ let test_router_handler_alloc_budget () =
     let p =
       Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. cfg.Inrpp.Config.chunk_bits
     in
-    (* warm up: resolve the flow's hot caches, grow rings past
+    (* warm up: create the port's phase and estimator, grow rings past
        steady-state size *)
     for _ = 1 to 1_000 do
       handle ~from:None p;
@@ -377,6 +375,101 @@ let test_router_handler_alloc_budget () =
       (Printf.sprintf "allocation per forwarded chunk (%.1f minor words)"
          per_chunk)
       true (per_chunk <= 100.)
+
+(* ------------------------------------------------------------------ *)
+(* Per-link router queries *)
+
+(* The hub of a 4-leaf star at 1 Mbps: four out-links, four in-links,
+   no detours.  Flows 0..2 take the hub's first three out-links as
+   data links, installed in descending link-id order so estimators are
+   created out of id order; the hub is their producer node. *)
+let hub_fixture () =
+  let cfg = Inrpp.Config.default in
+  let eng = Sim.Engine.create () in
+  let g = Topology.Builders.star ~capacity:1e6 4 in
+  let net = Chunksim.Net.create eng g in
+  let detours = Inrpp.Detour_table.create g in
+  let router = Inrpp.Router.create ~cfg ~net ~node:0 ~detours () in
+  Inrpp.Router.set_local_producer router (fun _ -> ());
+  let outs = Topology.Graph.out_links g 0 in
+  let used = List.rev (List.filteri (fun i _ -> i < 3) outs) in
+  List.iteri
+    (fun flow l ->
+      Inrpp.Router.install_flow router ~flow ~data_link:(Some l)
+        ~req_link:None ())
+    used;
+  let request flow =
+    Inrpp.Router.handler router ~from:None
+      (Chunksim.Packet.request ~flow ~nc:0 ~ack:0 ~ac:0)
+  in
+  (g, router, outs, used, request)
+
+let link_ids ls = List.map (fun (l : Topology.Link.t) -> l.Topology.Link.id) ls
+
+let test_router_estimator_links_sorted () =
+  let _, router, _, used, request = hub_fixture () in
+  Alcotest.(check (list int)) "none before traffic" []
+    (Inrpp.Router.estimator_links router);
+  List.iteri (fun flow _ -> request flow) used;
+  Alcotest.(check (list int)) "data links, ascending"
+    (List.sort Int.compare (link_ids used))
+    (Inrpp.Router.estimator_links router)
+
+let test_router_queries_none_off_port () =
+  let g, router, outs, _, request = hub_fixture () in
+  let none what id =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: phase None" what)
+      true
+      (Inrpp.Router.phase_of_link router id = None);
+    Alcotest.(check (option (float 0.)))
+      (what ^ ": ratio None") None
+      (Inrpp.Router.ratio_of_link router id);
+    Alcotest.(check (option (float 0.)))
+      (what ^ ": anticipated rate None") None
+      (Inrpp.Router.anticipated_rate_of_link router id)
+  in
+  let in_link = List.hd (Topology.Graph.in_links g 0) in
+  let unused = List.nth outs 3 in
+  let busy = List.hd outs in
+  none "out-link before traffic" busy.Topology.Link.id;
+  request 0;
+  request 1;
+  request 2;
+  Inrpp.Router.tick router;
+  none "in-link" in_link.Topology.Link.id;
+  none "out-link with no estimator" unused.Topology.Link.id;
+  none "unknown link id" (Topology.Graph.link_count g);
+  let id = busy.Topology.Link.id in
+  Alcotest.(check bool) "busy out-link has a phase" true
+    (Inrpp.Router.phase_of_link router id <> None);
+  Alcotest.(check bool) "busy out-link has a ratio" true
+    (Inrpp.Router.ratio_of_link router id <> None);
+  Alcotest.(check bool) "busy out-link anticipates traffic" true
+    (match Inrpp.Router.anticipated_rate_of_link router id with
+    | Some r -> r > 0.
+    | None -> false)
+
+let test_router_crash_clears_ports () =
+  let _, router, _, _, request = hub_fixture () in
+  (* 100 chunks per 40 ms interval on a 1 Mbps link: far past the
+     engage ratio, and the star has no detour, so the port enters
+     back-pressure on the first tick *)
+  for _ = 1 to 100 do
+    request 0
+  done;
+  request 1;
+  Inrpp.Router.tick router;
+  Alcotest.(check int) "two estimators" 2
+    (List.length (Inrpp.Router.estimator_links router));
+  Alcotest.(check bool) "a phase changed" true
+    (Inrpp.Router.phase_transitions router > 0);
+  Alcotest.(check (list (pair int int))) "nothing to wipe under Preserve" []
+    (Inrpp.Router.crash router ~policy:`Preserve);
+  Alcotest.(check (list int)) "estimators gone" []
+    (Inrpp.Router.estimator_links router);
+  Alcotest.(check int) "phase transitions gone" 0
+    (Inrpp.Router.phase_transitions router)
 
 (* ------------------------------------------------------------------ *)
 (* Sender / Receiver unit behaviour *)
@@ -925,6 +1018,15 @@ let () =
         [
           Alcotest.test_case "handler alloc budget" `Quick
             test_router_handler_alloc_budget;
+        ] );
+      ( "router ports",
+        [
+          Alcotest.test_case "estimator links sorted" `Quick
+            test_router_estimator_links_sorted;
+          Alcotest.test_case "queries None off port" `Quick
+            test_router_queries_none_off_port;
+          Alcotest.test_case "crash clears ports" `Quick
+            test_router_crash_clears_ports;
         ] );
       ( "endpoints",
         [
