@@ -1,14 +1,21 @@
 (** Periodic timeseries sampler over a {!Sim.Engine}.
 
     Probes are registered at setup time ([unit -> float] closures); on
-    every tick the sampler appends one point per probe to its
-    {!Series.t}, all sharing the same timestamp.  Driven by
+    every tick the sampler appends the tick's time once to its own
+    {!Series.Grid.t}, then {!Series.record}s one value per probe, in
+    registration order, into that probe's series.  All its series
+    share the grid and store only change-points (see {!Series}), so a
+    probe whose value holds costs a comparison per tick and no
+    storage.  Probes and hooks live in growable arrays; a tick
+    allocates nothing beyond what the probe closures do.  Driven by
     {!Sim.Engine.schedule_periodic}, so sampling interleaves correctly
     with the simulation's own events.
 
     Hooks run before the probes on each tick — use them to advance
     derived state (e.g. phase-occupancy accumulators) exactly once per
-    sample. *)
+    sample.  A probe registered after {!start} (or by a hook) gets its
+    first point at the next tick the probes run.  Its series is
+    sampler-owned: {!Series.add} refuses it. *)
 
 type t
 

@@ -119,6 +119,144 @@ let test_series_basics () =
     (Invalid_argument "Series.add: time went backwards") (fun () ->
       Obs.Series.add s ~time:0. 0.)
 
+(* Change-point model test: a series must read back exactly the dense
+   sequence it was given, bit for bit — including 0./-0., NaNs with
+   distinct payloads and infinities, which [=] cannot tell apart or
+   equate. *)
+
+let bits = Int64.bits_of_float
+let same_bits a b = Int64.equal (bits a) (bits b)
+
+let tricky_values =
+  [| 0.; -0.; infinity; neg_infinity; 1.; -1.5; 1e300;
+     Int64.float_of_bits 0x7FF8000000000001L;  (* quiet NaN, payload 1 *)
+     Int64.float_of_bits 0x7FF8000000000002L;  (* quiet NaN, payload 2 *)
+     Int64.float_of_bits 0xFFF8000000000000L;  (* negative NaN *)
+     Float.nan |]
+
+(* runs of one value: long constant stretches, with the tricky values
+   over-represented so adjacent runs often differ only in bits *)
+let values_gen =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [ (3, map (Array.get tricky_values) (int_bound (Array.length tricky_values - 1)));
+          (1, float) ]
+    in
+    let run = pair value (frequency [ (1, int_range 1 3); (2, int_range 4 40) ]) in
+    map
+      (fun runs -> List.concat_map (fun (v, n) -> List.init n (fun _ -> v)) runs)
+      (list_size (int_range 0 12) run))
+
+let dense_max values =
+  List.fold_left (fun m v -> if v > m then v else m) neg_infinity values
+
+(* check every read of [s] against the dense reference [points] *)
+let agrees s points =
+  let pts = Array.of_list points in
+  let n = Array.length pts in
+  let same (t1, v1) (t2, v2) = same_bits t1 t2 && same_bits v1 v2 in
+  let visited = ref [] in
+  Obs.Series.iter (fun ~time v -> visited := (time, v) :: !visited) s;
+  let rec all_same a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> same x y && all_same a b
+    | _ -> false
+  in
+  Obs.Series.length s = n
+  && Array.for_all Fun.id (Array.init n (fun i -> same (Obs.Series.get s i) pts.(i)))
+  && all_same (List.rev !visited) points
+  && all_same (Obs.Series.to_list s) points
+  && (match Obs.Series.last s with
+     | None -> n = 0
+     | Some p -> n > 0 && same p pts.(n - 1))
+  && same_bits (Obs.Series.max_value s) (dense_max (List.map snd points))
+
+let prop_series_add_model =
+  QCheck.Test.make ~name:"add: dense reads match the model bit for bit"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair values_gen (list_repeat 600 (int_bound 2))))
+    (fun (values, steps) ->
+      let steps = Array.of_list steps in
+      let s = Obs.Series.create "x" in
+      let time = ref 0. in
+      let points =
+        List.mapi
+          (fun i v ->
+            (* equal times allowed: step 0 repeats the last time *)
+            time := !time +. (0.5 *. float_of_int steps.(i mod 600));
+            Obs.Series.add s ~time:!time v;
+            (!time, v))
+          values
+      in
+      agrees s points
+      && Obs.Series.change_points s
+         <= List.length values)
+
+(* two probes on one sampler grid, the second tracked mid-run: each
+   reads its own sequence back, starting at the tick it joined *)
+let prop_sampler_model =
+  QCheck.Test.make ~name:"sampler: shared-grid reads match the model"
+    ~count:200
+    (QCheck.make QCheck.Gen.(triple values_gen values_gen (int_bound 30)))
+    (fun (a, b, join) ->
+      let ticks = max (List.length a) (List.length b + join) in
+      let a = Array.of_list a and b = Array.of_list b in
+      let eng = Sim.Engine.create () in
+      let smp = Obs.Sampler.create ~eng ~interval:1. () in
+      let tick () = Obs.Sampler.ticks smp in
+      let pick arr i = if i < Array.length arr then arr.(i) else 0. in
+      let sa = Obs.Sampler.track smp "a" (fun () -> pick a (tick ())) in
+      let sb = ref None in
+      for k = 0 to ticks - 1 do
+        ignore
+          (Sim.Engine.schedule eng ~delay:(float_of_int k) (fun () ->
+               if k = join then
+                 sb :=
+                   Some
+                     (Obs.Sampler.track smp "b" (fun () -> pick b (tick () - join)));
+               Obs.Sampler.sample_now smp))
+      done;
+      Sim.Engine.run eng;
+      let expect arr first =
+        List.init (ticks - first) (fun i ->
+            (float_of_int (first + i), pick arr i))
+      in
+      let b_ok =
+        match !sb with
+        | Some sb -> agrees sb (expect b join)
+        | None -> join >= ticks
+      in
+      agrees sa (expect a 0) && b_ok)
+
+let test_series_add_errors () =
+  let s = Obs.Series.create "x" in
+  Obs.Series.add s ~time:1. 0.;
+  Obs.Series.add s ~time:1. 0.;
+  Alcotest.check_raises "time must not go backwards"
+    (Invalid_argument "Series.add: time went backwards") (fun () ->
+      Obs.Series.add s ~time:0.5 0.);
+  Alcotest.(check int) "rejected point not stored" 2 (Obs.Series.length s);
+  let eng = Sim.Engine.create () in
+  let smp = Obs.Sampler.create ~eng ~interval:0.1 () in
+  let owned = Obs.Sampler.track smp "y" (fun () -> 1.) in
+  Alcotest.check_raises "sampler-owned series refuses add"
+    (Invalid_argument "Series.add: series is owned by a sampler") (fun () ->
+      Obs.Series.add owned ~time:0. 1.)
+
+let test_series_change_points () =
+  let s = Obs.Series.create "x" in
+  for i = 0 to 999 do
+    Obs.Series.add s ~time:(float_of_int i) (if i < 500 then 0. else -0.)
+  done;
+  Alcotest.(check int) "dense length" 1000 (Obs.Series.length s);
+  Alcotest.(check int) "0. and -0. are two change-points" 2
+    (Obs.Series.change_points s);
+  Alcotest.(check bool) "-0. read back" true
+    (same_bits (-0.) (snd (Obs.Series.get s 700)))
+
 (* ------------------------------------------------------------------ *)
 (* Sampler *)
 
@@ -149,6 +287,120 @@ let test_sampler () =
   | None -> Alcotest.fail "find with labels");
   Alcotest.(check bool) "find without labels is the plain series" true
     (Obs.Sampler.find smp "x" = Some sx)
+
+let test_sampler_late_track () =
+  let eng = Sim.Engine.create () in
+  let smp = Obs.Sampler.create ~eng ~interval:0.1 () in
+  let early = Obs.Sampler.track smp "early" (fun () -> 1.) in
+  Obs.Sampler.start smp;
+  Sim.Engine.run ~until:0.25 eng;
+  (* ticks at 0, 0.1, 0.2 so far *)
+  let late = Obs.Sampler.track smp "late" (fun () -> 2.) in
+  Alcotest.(check int) "no point before its first tick" 0
+    (Obs.Series.length late);
+  Alcotest.(check bool) "no last before its first tick" true
+    (Obs.Series.last late = None);
+  Sim.Engine.run ~until:0.55 eng;
+  Alcotest.(check int) "early sees every tick" 6 (Obs.Series.length early);
+  Alcotest.(check int) "late starts at the next tick" 3
+    (Obs.Series.length late);
+  check_close "first late point at 0.3" 1e-9 0.3 (fst (Obs.Series.get late 0));
+  check_close "last late point at 0.5" 1e-9 0.5
+    (fst (Option.get (Obs.Series.last late)));
+  Alcotest.(check (list string)) "registration order" [ "early"; "late" ]
+    (List.map Obs.Series.name (Obs.Sampler.series smp))
+
+(* A probe registered by a hook runs on the same tick: hooks run before
+   the tick joins the grid. *)
+let test_sampler_hook_tracks () =
+  let eng = Sim.Engine.create () in
+  let smp = Obs.Sampler.create ~eng ~interval:0.1 () in
+  let added = ref None in
+  Obs.Sampler.on_sample smp (fun () ->
+      if !added = None && Sim.Engine.now eng > 0.15 then
+        added := Some (Obs.Sampler.track smp "h" (fun () -> 3.)));
+  Obs.Sampler.start smp;
+  Sim.Engine.run ~until:0.45 eng;
+  match !added with
+  | Some s ->
+    Alcotest.(check int) "sampled from its registering tick" 3
+      (Obs.Series.length s);
+    check_close "first point at 0.2" 1e-9 0.2 (fst (Obs.Series.get s 0))
+  | None -> Alcotest.fail "hook did not register"
+
+let test_merge_series_exact () =
+  let eng = Sim.Engine.create () in
+  let smp = Obs.Sampler.create ~eng ~interval:1. () in
+  let vals = [| 0.; -0.; -0.; tricky_values.(7); tricky_values.(8); infinity |] in
+  let s =
+    Obs.Sampler.track smp ~labels:[ ("k", "v") ] "x" (fun () ->
+        vals.(Obs.Sampler.ticks smp))
+  in
+  for k = 0 to Array.length vals - 1 do
+    ignore
+      (Sim.Engine.schedule eng ~delay:(float_of_int k) (fun () ->
+           Obs.Sampler.sample_now smp))
+  done;
+  Sim.Engine.run eng;
+  match Obs.Snapshot.merge_series [ ("r", [ s ]) ] with
+  | [ c ] ->
+    Alcotest.(check (list (pair string string))) "run label"
+      [ ("run", "r"); ("k", "v") ] (Obs.Series.labels c);
+    Alcotest.(check bool) "points copied bit for bit" true
+      (agrees c (Obs.Series.to_list s));
+    Alcotest.(check bool) "and they are the probed values" true
+      (agrees s (List.mapi (fun i v -> (float_of_int i, v)) (Array.to_list vals)))
+  | l -> Alcotest.failf "expected one merged series, got %d" (List.length l)
+
+(* The sampler's tick cost: 1,000 probes that return a constant, 10,000
+   ticks.  Minor allocation must not scale with probes x ticks (a
+   constant series stores one change-point), and the major heap must
+   grow by about one grid word per tick — the shared time grid — not
+   one word per probe per tick. *)
+let test_sampler_cost () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* bytecode boxes every float *)
+  | Sys.Native ->
+    let eng = Sim.Engine.create () in
+    let smp = Obs.Sampler.create ~eng ~interval:1. () in
+    let probes = 1_000 and ticks = 10_000 in
+    let series =
+      List.init probes (fun i ->
+          Obs.Sampler.track smp ~labels:[ ("i", string_of_int i) ] "c"
+            (fun () -> 0.25))
+    in
+    (* first tick stores each series' one change-point *)
+    Obs.Sampler.sample_now smp;
+    (* a minor collection first brings quick_stat's major-word count up
+       to date; reading minor_words after it keeps that out of the
+       measured window *)
+    let major_words () =
+      Gc.minor ();
+      (Gc.quick_stat ()).Gc.major_words
+    in
+    let major0 = major_words () in
+    let minor0 = Gc.minor_words () in
+    for _ = 2 to ticks do
+      Obs.Sampler.sample_now smp
+    done;
+    let minor = Gc.minor_words () -. minor0 in
+    let major = major_words () -. major0 in
+    Alcotest.(check int) "every tick counted" ticks (Obs.Sampler.ticks smp);
+    List.iter
+      (fun s ->
+        if Obs.Series.length s <> ticks || Obs.Series.change_points s <> 1 then
+          Alcotest.failf "series %s: %d points, %d change-points"
+            (Obs.Export.labels_to_string (Obs.Series.labels s))
+            (Obs.Series.length s) (Obs.Series.change_points s))
+      series;
+    (* the only minor allocation left is the grid's first few doublings *)
+    if minor > 1_000. then
+      Alcotest.failf "%d ticks allocated %.0f minor words" ticks minor;
+    (* doubling allocates under 4x the grid's final length in total *)
+    if major > 4. *. float_of_int ticks then
+      Alcotest.failf "major heap grew %.0f words over %d ticks (%.2f per tick)"
+        major ticks
+        (major /. float_of_int ticks)
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -673,8 +925,23 @@ let () =
           Alcotest.test_case "hot path no alloc" `Quick
             test_metric_hot_path_no_alloc;
         ] );
-      ("series", [ Alcotest.test_case "basics" `Quick test_series_basics ]);
-      ("sampler", [ Alcotest.test_case "ticks" `Quick test_sampler ]);
+      ( "series",
+        [
+          Alcotest.test_case "basics" `Quick test_series_basics;
+          Alcotest.test_case "add errors" `Quick test_series_add_errors;
+          Alcotest.test_case "change-points" `Quick test_series_change_points;
+          QCheck_alcotest.to_alcotest prop_series_add_model;
+          QCheck_alcotest.to_alcotest prop_sampler_model;
+          Alcotest.test_case "merge copies exactly" `Quick
+            test_merge_series_exact;
+        ] );
+      ( "sampler",
+        [
+          Alcotest.test_case "ticks" `Quick test_sampler;
+          Alcotest.test_case "late track" `Quick test_sampler_late_track;
+          Alcotest.test_case "hook tracks" `Quick test_sampler_hook_tracks;
+          Alcotest.test_case "tick cost" `Quick test_sampler_cost;
+        ] );
       ( "json",
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
