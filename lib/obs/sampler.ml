@@ -25,20 +25,26 @@ let create ~eng ~interval ?clock () =
 
 let interval t = t.s_interval
 
-(* [a] with room for index [n], doubled (filled with [x]) when full *)
-let room a n x =
+(* [a] with room for index [n], doubled when full.  The filler must
+   not be a young value: [Array.make] forces a minor collection before
+   filling a major-heap array with one. *)
+let room a n filler =
   if n < Array.length a then a
   else begin
-    let bigger = Array.make (max 16 (2 * n)) x in
+    let bigger = Array.make (max 16 (2 * n)) filler in
     Array.blit a 0 bigger 0 n;
     bigger
   end
 
+let no_series = Series.on_grid (Series.Grid.create ()) ""
+let no_read () = 0.
+let no_hook () = ()
+
 let track t ?labels name read =
   let s = Series.on_grid t.grid ?labels name in
   let n = t.n_probes in
-  t.series <- room t.series n s;
-  t.reads <- room t.reads n read;
+  t.series <- room t.series n no_series;
+  t.reads <- room t.reads n no_read;
   t.series.(n) <- s;
   t.reads.(n) <- read;
   t.n_probes <- n + 1;
@@ -46,7 +52,7 @@ let track t ?labels name read =
 
 let on_sample t hook =
   let n = t.n_hooks in
-  t.hooks <- room t.hooks n hook;
+  t.hooks <- room t.hooks n no_hook;
   t.hooks.(n) <- hook;
   t.n_hooks <- n + 1
 

@@ -11,11 +11,11 @@ module Grid = struct
   }
 
   let create () = { times = Array.make 16 0.; n = 0 }
-  let length g = g.n
 
-  let push g time =
-    if g.n > 0 && time < g.times.(g.n - 1) then
-      invalid_arg "Series.Grid.push: time went backwards";
+  let check g time msg =
+    if g.n > 0 && time < g.times.(g.n - 1) then invalid_arg msg
+
+  let append g time =
     if g.n = Array.length g.times then begin
       let bigger = Array.make (2 * g.n) 0. in
       Array.blit g.times 0 bigger 0 g.n;
@@ -23,6 +23,10 @@ module Grid = struct
     end;
     g.times.(g.n) <- time;
     g.n <- g.n + 1
+
+  let push g time =
+    check g time "Series.Grid.push: time went backwards";
+    append g time
 end
 
 type t = {
@@ -46,17 +50,24 @@ let name t = t.s_name
 let labels t = t.s_labels
 
 let push_point t tick v =
-  if t.k = Array.length t.ticks then begin
-    let cap = max 2 (2 * t.k) in
-    let ticks = Array.make cap 0 and values = Array.make cap 0. in
-    Array.blit t.ticks 0 ticks 0 t.k;
-    Array.blit t.values 0 values 0 t.k;
-    t.ticks <- ticks;
-    t.values <- values
+  let k = t.k in
+  if k = 0 then begin
+    (* literals allocate inline: most series never need a second point *)
+    t.ticks <- [| tick; 0 |];
+    t.values <- [| v; 0. |]
+  end
+  else begin
+    if k = Array.length t.ticks then begin
+      let ticks = Array.make (2 * k) 0 and values = Array.make (2 * k) 0. in
+      Array.blit t.ticks 0 ticks 0 k;
+      Array.blit t.values 0 values 0 k;
+      t.ticks <- ticks;
+      t.values <- values
+    end;
+    t.ticks.(k) <- tick;
+    t.values.(k) <- v
   end;
-  t.ticks.(t.k) <- tick;
-  t.values.(t.k) <- v;
-  t.k <- t.k + 1
+  t.k <- k + 1
 
 let record t v =
   let tick = t.grid.Grid.n - 1 in
@@ -71,10 +82,8 @@ let record t v =
 
 let add t ~time v =
   if t.shared then invalid_arg "Series.add: series is owned by a sampler";
-  let g = t.grid in
-  if g.Grid.n > 0 && time < g.Grid.times.(g.Grid.n - 1) then
-    invalid_arg "Series.add: time went backwards";
-  Grid.push g time;
+  Grid.check t.grid time "Series.add: time went backwards";
+  Grid.append t.grid time;
   record t v
 
 let first t = t.ticks.(0)

@@ -21,7 +21,6 @@ module Grid : sig
   type t
 
   val create : unit -> t
-  val length : t -> int
 
   val push : t -> float -> unit
   (** Append one tick.

@@ -371,11 +371,12 @@ let test_sampler_cost () =
     in
     (* first tick stores each series' one change-point *)
     Obs.Sampler.sample_now smp;
-    (* a minor collection first brings quick_stat's major-word count up
-       to date; reading minor_words after it keeps that out of the
-       measured window *)
+    (* a full major collection first brings quick_stat's major-word
+       count up to date (earlier tests' allocation is otherwise folded
+       in at some later slice); reading minor_words after it keeps that
+       out of the measured window *)
     let major_words () =
-      Gc.minor ();
+      Gc.full_major ();
       (Gc.quick_stat ()).Gc.major_words
     in
     let major0 = major_words () in
