@@ -14,6 +14,11 @@
      overhaul targets.
    - isp_zoo     : 8 INRPP flows across the EBONE ISP-zoo graph
      (protocol macro-benchmark; tracks end-to-end chunk throughput).
+   - isp_zoo_obs : the same run with an Obs.Observer attached, so the
+     sampler records its ~4.4k per-interface and per-router series;
+     its total minor words over isp_zoo's (same inputs, same chunks)
+     is the telemetry overhead ratio, printed, and gated at 2x on
+     --smoke runs.
 
    - flows_1m    : flow-state memory benchmark — ramps the EBONE graph
      to one million concurrent flows (20k under --smoke) drawn from
@@ -31,8 +36,9 @@
    for CI; `--check` (after a run, as in `--smoke --check`) gates the
    fresh results against the frozen per-benchmark allocation and
    bytes/flow baselines — a benchmark allocating more than 2x its
-   baseline minor-words/event fails the run.  Wall clock is not gated
-   here; perfbench/ measures it.  `--check FILE` applies the same
+   baseline minor-words/event fails the run, as does (on --smoke runs)
+   an obs-on/obs-off minor-words ratio, isp_zoo_obs over isp_zoo, above
+   2x.  Wall clock is not gated here; perfbench/ measures it.  `--check FILE` applies the same
    schema + allocation gate to an existing JSON file; v4, v3 and v2
    files are still accepted, and their wall-clock `baseline` object is
    ignored. *)
@@ -74,6 +80,10 @@ let alloc_baseline =
        pressure record per custody offer, but shedding also avoids
        work, so the net per-event figure sits near isp_zoo's *)
     ("overload", 147.7);
+    (* isp_zoo with an observer: the change-point sampler adds one
+       probe call per series per tick, but stores a point only when a
+       value changes *)
+    ("isp_zoo_obs", 290.8);
     (* flows_1m's events are the ramp batches, so this quotient is the
        allocation of installing ~1000 flows' state — dominated by the
        flow tables themselves, which is the point of the benchmark *)
@@ -92,10 +102,19 @@ let alloc_baseline_smoke =
     ("dumbbell", 58.9);
     ("isp_zoo", 682.0);
     ("overload", 690.6);
+    ("isp_zoo_obs", 824.7);
     ("flows_1m", 5_720.4);
   ]
 
 let alloc_slack = 2.0
+
+(* Telemetry overhead gate: total minor words of isp_zoo_obs over
+   isp_zoo on the same inputs.  A ratio, so it needs no re-freezing
+   when the protocol's own allocation moves.  Gated on smoke runs
+   (1.21x); a full run is printed but not gated, because its ~5k
+   sampler ticks are dominated by the probe closures boxing their
+   floats (3.67x), which the sampler cannot remove. *)
+let obs_ratio_limit = 2.0
 
 (* Frozen bytes-per-flow-table-entry figures from the flows_1m
    benchmark (live-words delta across the ramp / entries installed; an
@@ -459,13 +478,19 @@ let benchmark_fields_v3 =
 let benchmark_fields =
   benchmark_fields_v3 @ [ "bytes_per_flow"; "peak_rss_bytes" ]
 
-(* (name, minor_words_per_event, bytes_per_flow) *)
+(* total minor words of isp_zoo_obs over isp_zoo, when both ran *)
+let obs_ratio words =
+  match (List.assoc_opt "isp_zoo" words, List.assoc_opt "isp_zoo_obs" words) with
+  | Some off, Some on when off > 0. -> Some (on /. off)
+  | _ -> None
+
+(* (name, minor_words_per_event, bytes_per_flow, minor_words) *)
 let gate ~smoke results =
   let table = if smoke then alloc_baseline_smoke else alloc_baseline in
   let btable = if smoke then bytes_baseline_smoke else bytes_baseline in
   let failures = ref 0 in
   List.iter
-    (fun (name, mwpe, bpf) ->
+    (fun (name, mwpe, bpf, _) ->
       (match List.assoc_opt name btable with
       | Some base when bpf > bytes_slack *. base ->
         incr failures;
@@ -493,6 +518,19 @@ let gate ~smoke results =
            bench/perf/perf.ml\n"
           name)
     results;
+  (match obs_ratio (List.map (fun (name, _, _, w) -> (name, w)) results) with
+  | Some r when not smoke ->
+    Printf.printf "note %-14s %8.2fx obs-on/obs-off minor words (gated on \
+                   --smoke runs only)\n" "isp_zoo_obs" r
+  | Some r when r > obs_ratio_limit ->
+    incr failures;
+    Printf.eprintf
+      "FAIL %-14s %8.2fx obs-on/obs-off minor words exceeds %.1fx\n"
+      "isp_zoo_obs" r obs_ratio_limit
+  | Some r ->
+    Printf.printf "ok   %-14s %8.2fx obs-on/obs-off minor words (limit %.1fx)\n"
+      "isp_zoo_obs" r obs_ratio_limit
+  | None -> ());
   if !failures > 0 then begin
     Printf.eprintf "%d allocation regression(s)\n" !failures;
     exit 1
@@ -576,7 +614,8 @@ let check_file path =
               | Some (Obs.Json.Num x) -> x
               | _ -> 0.
             in
-            (str "name", num "minor_words_per_event", bpf))
+            let mwpe = num "minor_words_per_event" in
+            (str "name", mwpe, bpf, mwpe *. num "events"))
           bs
       | _ -> fail "missing non-empty list field: benchmarks"
     in
@@ -666,6 +705,8 @@ let () =
          cost of admission checks, pressure records and the breaker *)
       measure ~repeat ~domains "overload"
         (isp_zoo ~overload:Overload.Config.default ~chunks:zoo_chunks);
+      measure ~repeat ~domains "isp_zoo_obs" (fun () ->
+          isp_zoo ~obs:(Obs.Observer.create ()) ~chunks:zoo_chunks ());
       (let o =
          measure ~repeat:1 ~domains:1 "flows_1m"
            (flows_1m ~flows:flow_count ~stats:flow_stats)
@@ -688,6 +729,12 @@ let () =
         (if o.wall_s > 0. then float_of_int o.events /. o.wall_s else 0.)
         o.chunks
         (if o.events > 0 then o.minor_words /. float_of_int o.events else 0.);
+      (match List.find_opt (fun b -> b.name = "isp_zoo") outcomes with
+      | Some off when o.name = "isp_zoo_obs" && off.minor_words > 0. ->
+        Printf.printf "%-14s %9.2fx minor words  %.2fx wall  (obs-on/obs-off vs isp_zoo)\n"
+          "" (o.minor_words /. off.minor_words)
+          (if off.wall_s > 0. then o.wall_s /. off.wall_s else 0.)
+      | _ -> ());
       if o.bytes_per_flow > 0. then
         Printf.printf "%-14s %9.1f bytes/flow-entry  %.1f MB peak RSS\n" ""
           o.bytes_per_flow
@@ -704,5 +751,6 @@ let () =
            ( o.name,
              (if o.events > 0 then o.minor_words /. float_of_int o.events
               else 0.),
-             o.bytes_per_flow ))
+             o.bytes_per_flow,
+             o.minor_words ))
          outcomes)

@@ -6,8 +6,9 @@
     registration order, into that probe's series.  All its series
     share the grid and store only change-points (see {!Series}), so a
     probe whose value holds costs a comparison per tick and no
-    storage.  Probes and hooks live in growable arrays; a tick
-    allocates nothing beyond what the probe closures do.  Driven by
+    storage.  Probes and hooks live in growable arrays; apart from the
+    grid's doubling, a tick allocates only what the probe closures
+    do.  Driven by
     {!Sim.Engine.schedule_periodic}, so sampling interleaves correctly
     with the simulation's own events.
 
