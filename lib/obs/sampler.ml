@@ -102,17 +102,11 @@ let running t =
 let series t = List.init t.n_probes (Array.get t.series)
 
 let find t ?labels name =
-  let rec go i =
-    if i = t.n_probes then None
-    else
-      let s = t.series.(i) in
-      if
-        Series.name s = name
-        && match labels with None -> true | Some l -> Series.labels s = l
-      then Some s
-      else go (i + 1)
-  in
-  go 0
+  List.find_opt
+    (fun s ->
+      Series.name s = name
+      && match labels with None -> true | Some l -> Series.labels s = l)
+    (series t)
 
 let ticks t = t.samples
 let probe_seconds t = t.probe_s
