@@ -63,13 +63,6 @@ type t = {
       answer later requests for the same content locally.  Off by
       default: the paper's experiments concern the custody role of
       storage; the [icn-cache] bench shows the two roles composing. *)
-  flow_store : [ `Soa | `Legacy ];
-  (** per-flow forwarding-state layout in the routers (see
-      {!Flow_table}): [`Soa] (default) is the compacted
-      struct-of-arrays table with free-list recycling, [`Legacy] the
-      PR-5 record-per-flow layout kept as the differential-testing
-      reference.  Behaviourally identical — the 50-seed sweep pins
-      byte-identical results. *)
   pitless : bool;
   (** PIT-less forwarding ablation ("Living in a PIT-less World",
       PAPERS.md): routers keep {e no} per-flow state.  Forwarding
@@ -96,8 +89,8 @@ val default : t
     off by default — the fault experiments enable ×2 capped at ×32),
     T_i = 40 ms, α = 0.3, engage 0.95 / release 0.75, 1-hop detours
     (+1 recursion), 20 ms flowlets, queue threshold 0.5, 4 MB cache
-    (0.7/0.3 watermarks), 64-chunk queues, full speed, SoA flow
-    store, stateful forwarding, no teardown. *)
+    (0.7/0.3 watermarks), 64-chunk queues, full speed, stateful
+    forwarding, no teardown. *)
 
 val validate : t -> (t, string) result
 (** All range checks; returns the config unchanged when valid. *)

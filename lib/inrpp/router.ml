@@ -62,9 +62,8 @@ type t = {
   link_state : Topology.Link_state.t option;
   trace : Trace.t option;
   (* per-flow forwarding state: next hops as link ids, flag bitfield
-     and flowlet pin, slot-indexed with free-list recycling
-     (struct-of-arrays by default, the record layout as the
-     differential reference — see Flow_table) *)
+     and flowlet pin, slot-indexed struct-of-arrays with free-list
+     recycling — see Flow_table *)
   ft : Ft.t;
   ports : port array;             (* indexed by Graph.out_index *)
   store : Cache.t;
@@ -100,8 +99,7 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
     detours;
     link_state;
     trace;
-    ft =
-      Ft.create ~store:cfg.Config.flow_store ~gap:cfg.Config.flowlet_gap ();
+    ft = Ft.create ~gap:cfg.Config.flowlet_gap ();
     ports =
       Array.of_list
         (List.map port (Topology.Graph.out_links (Net.graph net) node));
@@ -502,18 +500,18 @@ let try_detour t slot flow pt (p : Packet.t) =
     let first = cs.(fi) in
     let pinned =
       Ft.flowlet_choose t.ft slot ~now:(now t)
-        ~preferred:(Flowlet.Via first.dc_via)
+        ~preferred:(Ft.Via first.dc_via)
     in
     let chosen =
       match pinned with
-      | Flowlet.Via via ->
+      | Ft.Via via ->
         if via = first.dc_via then first
         else begin
           let vi = usable_with_via t cs via in
           if vi >= 0 then cs.(vi)
           else first (* pinned detour filled up; re-route *)
         end
-      | Flowlet.Primary -> first
+      | Ft.Primary -> first
     in
     match send_detour t flow chosen p with
     | `Queued -> () (* the detour copy went out; [p] is dead *)
@@ -568,7 +566,7 @@ let forward_primary_path t slot flow (p : Packet.t) =
         if Iface.queue_occupancy pt.p_iface < pt.p_limit then begin
           ignore
             (Ft.flowlet_choose t.ft slot ~now:(now t)
-               ~preferred:Flowlet.Primary);
+               ~preferred:Ft.Primary);
           forward_on_primary t slot flow pt p
         end
         else try_detour t slot flow pt p

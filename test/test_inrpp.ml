@@ -33,14 +33,12 @@ let test_config_chunk_tx_time () =
     (Inrpp.Config.chunk_tx_time Inrpp.Config.default ~rate:10e6)
 
 (* ------------------------------------------------------------------ *)
-(* Flow table: both layouts through the same op sequences *)
+(* Flow table *)
 
 module Ft = Inrpp.Flow_table
 
-(* the tests are generic over the layout; the registry instantiates
-   them for [`Soa] and [`Legacy] so a divergence names the layout *)
-let ft_install_release store () =
-  let t = Ft.create ~store ~gap:0.5 () in
+let ft_install_release () =
+  let t = Ft.create ~gap:0.5 () in
   Alcotest.(check int) "empty find" (-1) (Ft.find t 7);
   Alcotest.(check int) "empty live" 0 (Ft.live t);
   let s = Ft.install t ~flow:7 ~content:42 ~data_link:3 ~req_link:(-1) in
@@ -62,8 +60,8 @@ let ft_install_release store () =
   Alcotest.(check int) "double release no-ops" 1 (Ft.recycled t);
   Alcotest.(check bool) "bytes accounted" true (Ft.approx_bytes t > 0)
 
-let ft_slot_recycling store () =
-  let t = Ft.create ~store ~gap:0.5 () in
+let ft_slot_recycling () =
+  let t = Ft.create ~gap:0.5 () in
   let slots =
     List.init 8 (fun f ->
         Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
@@ -71,48 +69,42 @@ let ft_slot_recycling store () =
   Alcotest.(check int) "peak 8" 8 (Ft.peak t);
   List.iter (fun f -> Ft.release t ~flow:f) [ 2; 5 ];
   let s9 = Ft.install t ~flow:99 ~content:99 ~data_link:(-1) ~req_link:(-1) in
-  (match store with
-  | `Soa ->
-    (* the SoA free list hands a released slot to the new flow *)
-    Alcotest.(check bool) "freed slot reused" true
-      (List.mem s9 [ List.nth slots 2; List.nth slots 5 ])
-  | `Legacy ->
-    (* legacy slots are flow ids; releases leave holes *)
-    Alcotest.(check int) "legacy slot is the flow id" 99 s9);
+  (* the free list hands a released slot to the new flow *)
+  Alcotest.(check bool) "freed slot reused" true
+    (List.mem s9 [ List.nth slots 2; List.nth slots 5 ]);
   Alcotest.(check int) "peak unchanged by reuse" 8 (Ft.peak t);
   Alcotest.(check int) "live" 7 (Ft.live t)
 
-let ft_reinstall_semantics store () =
-  let t = Ft.create ~store ~gap:0.5 () in
+let ft_reinstall_semantics () =
+  let t = Ft.create ~gap:0.5 () in
   let s = Ft.install t ~flow:3 ~content:1 ~data_link:4 ~req_link:4 in
   Ft.set_bp_local t s true;
   Ft.set_failed_over t s true;
   (* pin the flowlet, then reinstall: slot and pin survive, links and
-     flags reset (legacy Hashtbl.replace semantics) *)
-  let pinned = Ft.flowlet_choose t s ~now:1.0 ~preferred:(Inrpp.Flowlet.Via 2) in
-  Alcotest.(check bool) "pin taken" true (pinned = Inrpp.Flowlet.Via 2);
+     flags reset *)
+  let pinned = Ft.flowlet_choose t s ~now:1.0 ~preferred:(Ft.Via 2) in
+  Alcotest.(check bool) "pin taken" true (pinned = Ft.Via 2);
   let s' = Ft.install t ~flow:3 ~content:8 ~data_link:(-1) ~req_link:(-1) in
   Alcotest.(check int) "reinstall keeps slot" s s';
   Alcotest.(check int) "content reset" 8 (Ft.content t s');
   Alcotest.(check bool) "bp flag reset" false (Ft.bp_local t s');
   Alcotest.(check bool) "failover flag reset" false (Ft.failed_over t s');
   Alcotest.(check bool) "flowlet pin survives (within gap)" true
-    (Ft.flowlet_choose t s' ~now:1.1 ~preferred:Inrpp.Flowlet.Primary
-    = Inrpp.Flowlet.Via 2);
+    (Ft.flowlet_choose t s' ~now:1.1 ~preferred:Ft.Primary = Ft.Via 2);
   Alcotest.(check int) "reinstall is not a release" 0 (Ft.recycled t)
 
-let ft_flags_roundtrip store () =
-  let t = Ft.create ~store ~gap:0.5 () in
+let ft_flags =
+  [
+    ("bp_local", Ft.bp_local, Ft.set_bp_local);
+    ("bp_forwarded", Ft.bp_forwarded, Ft.set_bp_forwarded);
+    ("detour_override", Ft.detour_override, Ft.set_detour_override);
+    ("bp_outage", Ft.bp_outage, Ft.set_bp_outage);
+    ("failed_over", Ft.failed_over, Ft.set_failed_over);
+  ]
+
+let ft_flags_roundtrip () =
+  let t = Ft.create ~gap:0.5 () in
   let s = Ft.install t ~flow:0 ~content:0 ~data_link:(-1) ~req_link:(-1) in
-  let flags =
-    [
-      ("bp_local", Ft.bp_local, Ft.set_bp_local);
-      ("bp_forwarded", Ft.bp_forwarded, Ft.set_bp_forwarded);
-      ("detour_override", Ft.detour_override, Ft.set_detour_override);
-      ("bp_outage", Ft.bp_outage, Ft.set_bp_outage);
-      ("failed_over", Ft.failed_over, Ft.set_failed_over);
-    ]
-  in
   List.iter
     (fun (name, get, set) ->
       Alcotest.(check bool) (name ^ " starts clear") false (get t s);
@@ -123,39 +115,190 @@ let ft_flags_roundtrip store () =
         (fun (n2, g2, _) ->
           if n2 <> name then
             Alcotest.(check bool) (name ^ " leaves " ^ n2) false (g2 t s))
-        flags;
+        ft_flags;
       set t s false;
       Alcotest.(check bool) (name ^ " clears") false (get t s))
-    flags
-
-(* iter order is observable (drain and fault loops); both layouts must
-   produce the same order for the same install/release history *)
-let test_ft_iter_order_parity () =
-  let history t =
-    for f = 0 to 19 do
-      ignore (Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
-    done;
-    List.iter (fun f -> Ft.release t ~flow:f) [ 3; 11; 4 ];
-    for f = 20 to 24 do
-      ignore (Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
-    done;
-    let order = ref [] in
-    Ft.iter t (fun flow _ -> order := flow :: !order);
-    List.rev !order
-  in
-  let soa = Ft.create ~store:`Soa ~gap:0.5 () in
-  let legacy = Ft.create ~store:`Legacy ~gap:0.5 () in
-  Alcotest.(check (list int))
-    "iteration order identical across layouts" (history legacy) (history soa)
+    ft_flags
 
 let test_ft_invalid_args () =
   Alcotest.check_raises "negative gap"
     (Invalid_argument "Flow_table.create: gap < 0") (fun () ->
-      ignore (Ft.create ~store:`Soa ~gap:(-1.) () : Ft.t));
-  let t = Ft.create ~store:`Soa ~gap:0.5 () in
+      ignore (Ft.create ~gap:(-1.) () : Ft.t));
+  let t = Ft.create ~gap:0.5 () in
   Alcotest.check_raises "negative flow"
     (Invalid_argument "Flow_table.install: flow < 0") (fun () ->
       ignore (Ft.install t ~flow:(-1) ~content:0 ~data_link:0 ~req_link:0))
+
+(* Reference model: per-flow state as the plain record-per-flow
+   hashtable the compacted table replaced, with the flowlet pins in a
+   second table keyed by flow id that a reinstall keeps and a release
+   forgets.  The model has no slots; it is fed the same install/release
+   keys as the table, so its hashtable iteration order is the one
+   {!Ft.iter} must reproduce. *)
+module Ref = struct
+  type entry = {
+    content : int;
+    mutable data_link : int;
+    mutable req_link : int;
+    flags : bool array; (* indexed like [ft_flags] *)
+  }
+
+  type t = {
+    gap : float;
+    flows : (int, entry) Hashtbl.t;
+    pins : (int, Ft.route * float) Hashtbl.t; (* flow -> route, last *)
+    mutable peak : int;
+    mutable recycled : int;
+  }
+
+  let create ~gap =
+    { gap; flows = Hashtbl.create 16; pins = Hashtbl.create 16; peak = 0;
+      recycled = 0 }
+
+  let install t ~flow ~content ~data_link ~req_link =
+    Hashtbl.replace t.flows flow
+      { content; data_link; req_link; flags = Array.make 5 false };
+    t.peak <- max t.peak (Hashtbl.length t.flows)
+
+  let release t ~flow =
+    if Hashtbl.mem t.flows flow then begin
+      Hashtbl.remove t.flows flow;
+      Hashtbl.remove t.pins flow;
+      t.recycled <- t.recycled + 1
+    end
+
+  let choose t ~flow ~now ~preferred =
+    let route =
+      match Hashtbl.find_opt t.pins flow with
+      | Some (pinned, last) when now -. last <= t.gap -> pinned
+      | Some _ | None -> preferred
+    in
+    Hashtbl.replace t.pins flow (route, now);
+    route
+end
+
+type ft_op =
+  | Install of int * int * int * int (* flow, content, data, req *)
+  | Release of int
+  | Set_links of int * int * int
+  | Set_flag of int * int * bool (* flow, index into [ft_flags] *)
+  | Choose of int * float * Ft.route (* flow, idle time, preferred *)
+
+let ft_flows = 10
+let ft_gap = 0.5
+
+let pp_route = function Ft.Primary -> "Primary" | Ft.Via v -> Printf.sprintf "Via %d" v
+
+let pp_ft_op = function
+  | Install (f, c, d, r) -> Printf.sprintf "install %d c=%d d=%d r=%d" f c d r
+  | Release f -> Printf.sprintf "release %d" f
+  | Set_links (f, d, r) -> Printf.sprintf "set_links %d d=%d r=%d" f d r
+  | Set_flag (f, k, v) ->
+    let name, _, _ = List.nth ft_flags k in
+    Printf.sprintf "set_%s %d %b" name f v
+  | Choose (f, dt, p) -> Printf.sprintf "choose %d +%g %s" f dt (pp_route p)
+
+let gen_ft_op =
+  let open QCheck.Gen in
+  let flow = int_bound (ft_flows - 1) and link = int_range (-1) 5 in
+  frequency
+    [
+      (4, map4 (fun f c d r -> Install (f, c, d, r)) flow (int_bound 99) link link);
+      (3, map (fun f -> Release f) flow);
+      (2, map3 (fun f d r -> Set_links (f, d, r)) flow link link);
+      (4, map3 (fun f k v -> Set_flag (f, k, v)) flow (int_bound 4) bool);
+      ( 4,
+        map3
+          (fun f dt p -> Choose (f, dt, p))
+          flow
+          (* idle times straddling the gap, the gap itself included *)
+          (oneofl [ 0.; 0.25 *. ft_gap; ft_gap; 1.5 *. ft_gap; 3. *. ft_gap ])
+          (oneof [ return Ft.Primary; map (fun v -> Ft.Via v) (int_bound 3) ]) );
+    ]
+
+(* after every op: each read, find/flow_of, iter order (and distinct
+   live slots), live, peak and recycled agree with the model *)
+let ft_agrees t (m : Ref.t) =
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  for flow = 0 to ft_flows - 1 do
+    let slot = Ft.find t flow in
+    match Hashtbl.find_opt m.Ref.flows flow with
+    | None -> expect (slot = -1)
+    | Some e ->
+      expect (slot >= 0);
+      if slot >= 0 then begin
+        expect (Ft.flow_of t slot = flow);
+        expect (Ft.content t slot = e.Ref.content);
+        expect (Ft.data_link t slot = e.Ref.data_link);
+        expect (Ft.req_link t slot = e.Ref.req_link);
+        List.iteri
+          (fun k (_, get, _) -> expect (get t slot = e.Ref.flags.(k)))
+          ft_flags
+      end
+  done;
+  let order = ref [] and slots = ref [] in
+  Ft.iter t (fun flow slot ->
+      order := flow :: !order;
+      slots := slot :: !slots;
+      expect (Ft.find t flow = slot));
+  let ref_order = ref [] in
+  Hashtbl.iter (fun flow _ -> ref_order := flow :: !ref_order) m.Ref.flows;
+  expect (!order = !ref_order);
+  expect (List.length (List.sort_uniq compare !slots) = List.length !slots);
+  expect (Ft.live t = Hashtbl.length m.Ref.flows);
+  expect (Ft.peak t = m.Ref.peak);
+  expect (Ft.recycled t = m.Ref.recycled);
+  !ok
+
+let prop_ft_reference_model =
+  QCheck.Test.make ~name:"reference model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_ft_op ops))
+       QCheck.Gen.(list_size (int_bound 200) gen_ft_op))
+    (fun ops ->
+      let t = Ft.create ~gap:ft_gap () and m = Ref.create ~gap:ft_gap in
+      let now = ref 0. in
+      List.for_all
+        (fun op ->
+          let slot f = Ft.find t f in
+          let entry f = Hashtbl.find_opt m.Ref.flows f in
+          let step_ok =
+            match op with
+            | Install (flow, content, data_link, req_link) ->
+              ignore (Ft.install t ~flow ~content ~data_link ~req_link : int);
+              Ref.install m ~flow ~content ~data_link ~req_link;
+              true
+            | Release flow ->
+              Ft.release t ~flow;
+              Ref.release m ~flow;
+              true
+            | Set_links (f, data_link, req_link) -> (
+              match entry f with
+              | None -> true
+              | Some e ->
+                Ft.set_links t (slot f) ~data_link ~req_link;
+                e.Ref.data_link <- data_link;
+                e.Ref.req_link <- req_link;
+                true)
+            | Set_flag (f, k, v) -> (
+              match entry f with
+              | None -> true
+              | Some e ->
+                let _, _, set = List.nth ft_flags k in
+                set t (slot f) v;
+                e.Ref.flags.(k) <- v;
+                true)
+            | Choose (f, dt, preferred) -> (
+              now := !now +. dt;
+              match entry f with
+              | None -> true
+              | Some _ ->
+                Ft.flowlet_choose t (slot f) ~now:!now ~preferred
+                = Ref.choose m ~flow:f ~now:!now ~preferred)
+          in
+          step_ok && ft_agrees t m)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Session *)
@@ -287,19 +430,19 @@ let test_phase_bp_recovery () =
   Alcotest.(check bool) "recovers to push" true (back = Inrpp.Phase.Push_data)
 
 (* ------------------------------------------------------------------ *)
-(* Flowlet *)
+(* Flowlet pinning *)
 
 let test_flowlet_pinning () =
-  let f = Inrpp.Flowlet.create ~gap:0.1 in
-  let r1 = Inrpp.Flowlet.choose f ~flow:1 ~now:0. ~preferred:(Inrpp.Flowlet.Via 5) in
-  Alcotest.(check bool) "first pick" true (r1 = Inrpp.Flowlet.Via 5);
+  let t = Ft.create ~gap:0.1 () in
+  let s = Ft.install t ~flow:1 ~content:0 ~data_link:(-1) ~req_link:(-1) in
+  let r1 = Ft.flowlet_choose t s ~now:0. ~preferred:(Ft.Via 5) in
+  Alcotest.(check bool) "first pick" true (r1 = Ft.Via 5);
   (* within the gap, preference changes are ignored *)
-  let r2 = Inrpp.Flowlet.choose f ~flow:1 ~now:0.05 ~preferred:Inrpp.Flowlet.Primary in
-  Alcotest.(check bool) "pinned" true (r2 = Inrpp.Flowlet.Via 5);
+  let r2 = Ft.flowlet_choose t s ~now:0.05 ~preferred:Ft.Primary in
+  Alcotest.(check bool) "pinned" true (r2 = Ft.Via 5);
   (* after an idle gap the flow re-pins *)
-  let r3 = Inrpp.Flowlet.choose f ~flow:1 ~now:0.3 ~preferred:Inrpp.Flowlet.Primary in
-  Alcotest.(check bool) "re-pinned" true (r3 = Inrpp.Flowlet.Primary);
-  Alcotest.(check int) "one flow tracked" 1 (Inrpp.Flowlet.active_flows f)
+  let r3 = Ft.flowlet_choose t s ~now:0.3 ~preferred:Ft.Primary in
+  Alcotest.(check bool) "re-pinned" true (r3 = Ft.Primary)
 
 (* ------------------------------------------------------------------ *)
 (* Detour table *)
@@ -969,24 +1112,15 @@ let () =
           Alcotest.test_case "chunk tx time" `Quick test_config_chunk_tx_time;
         ] );
       ( "flow table",
-        (List.concat_map
-           (fun (lname, store) ->
-             [
-               Alcotest.test_case (lname ^ ": install/release") `Quick
-                 (ft_install_release store);
-               Alcotest.test_case (lname ^ ": slot recycling") `Quick
-                 (ft_slot_recycling store);
-               Alcotest.test_case (lname ^ ": reinstall semantics") `Quick
-                 (ft_reinstall_semantics store);
-               Alcotest.test_case (lname ^ ": flag bits") `Quick
-                 (ft_flags_roundtrip store);
-             ])
-           [ ("soa", `Soa); ("legacy", `Legacy) ]
-        @ [
-            Alcotest.test_case "iter order parity" `Quick
-              test_ft_iter_order_parity;
-            Alcotest.test_case "invalid args" `Quick test_ft_invalid_args;
-          ]) );
+        [
+          Alcotest.test_case "soa: install/release" `Quick ft_install_release;
+          Alcotest.test_case "soa: slot recycling" `Quick ft_slot_recycling;
+          Alcotest.test_case "soa: reinstall semantics" `Quick
+            ft_reinstall_semantics;
+          Alcotest.test_case "soa: flag bits" `Quick ft_flags_roundtrip;
+          Alcotest.test_case "invalid args" `Quick test_ft_invalid_args;
+          QCheck_alcotest.to_alcotest prop_ft_reference_model;
+        ] );
       ( "session",
         [
           Alcotest.test_case "in order" `Quick test_session_in_order;

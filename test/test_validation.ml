@@ -281,8 +281,7 @@ let test_protocol_fast_vs_legacy () =
     < legacy.Inrpp.Protocol.engine_events)
 
 (* ------------------------------------------------------------------ *)
-(* SoA vs legacy flow store (50-seed differential), and PIT-less
-   forwarding under the invariant checkers *)
+(* PIT-less forwarding under the invariant checkers *)
 
 (* seed-varied multi-flow scenario: even seeds run fig3 (detours in
    play), odd seeds a 5x-overloaded bottleneck line (custody, BP, and
@@ -309,58 +308,6 @@ let seeded_scenario seed =
           (30 + Sim.Rng.int rng 90))
   in
   (g, specs)
-
-(* every protocol observable, flattened to a string so "byte-identical"
-   is literal.  flow_table_bytes is layout-dependent by design (the
-   legacy layout counts its records) and is excluded. *)
-let result_fingerprint (r : Inrpp.Protocol.result) =
-  let flows =
-    Array.to_list r.Inrpp.Protocol.flows
-    |> List.map (fun (f : Inrpp.Protocol.flow_result) ->
-           Printf.sprintf "(fct=%s rx=%d dup=%d req=%d)"
-             (match f.Inrpp.Protocol.fct with
-             | Some t -> Printf.sprintf "%.9f" t
-             | None -> "-")
-             f.Inrpp.Protocol.chunks_received f.Inrpp.Protocol.duplicates
-             f.Inrpp.Protocol.requests_sent)
-    |> String.concat " "
-  in
-  Printf.sprintf
-    "done=%d t=%.9f drops=%d fwd=%d det=%d cust=%d/%d bp=%d/%d hits=%d \
-     ph=%d peak=%.3f util=%.9f gp=%.9f ev=%d live=%d fpeak=%d rec=%d %s"
-    r.Inrpp.Protocol.completed r.Inrpp.Protocol.sim_time
-    r.Inrpp.Protocol.total_drops r.Inrpp.Protocol.forwarded_data
-    r.Inrpp.Protocol.detoured r.Inrpp.Protocol.custody_stored
-    r.Inrpp.Protocol.custody_released r.Inrpp.Protocol.bp_engages
-    r.Inrpp.Protocol.bp_releases r.Inrpp.Protocol.cache_hits
-    r.Inrpp.Protocol.phase_transitions r.Inrpp.Protocol.peak_custody_bits
-    r.Inrpp.Protocol.mean_utilisation r.Inrpp.Protocol.goodput
-    r.Inrpp.Protocol.engine_events r.Inrpp.Protocol.flow_entries_live
-    r.Inrpp.Protocol.flow_entries_peak r.Inrpp.Protocol.flow_entries_recycled
-    flows
-
-let soa_vs_legacy ~seed =
-  let g, specs = seeded_scenario seed in
-  let run store =
-    Inrpp.Protocol.run
-      ~cfg:{ bulk with Inrpp.Config.flow_store = store }
-      ~horizon:120. g specs
-  in
-  let a = result_fingerprint (run `Soa)
-  and b = result_fingerprint (run `Legacy) in
-  if String.equal a b then
-    {
-      Check.Differential.equal = true;
-      detail = Printf.sprintf "seed %d: soa = legacy (%s)" seed a;
-    }
-  else
-    {
-      Check.Differential.equal = false;
-      detail = Printf.sprintf "seed %d:\n  soa    %s\n  legacy %s" seed a b;
-    }
-
-let test_differential_soa_vs_legacy () =
-  check_sweep "soa vs legacy flow store" soa_vs_legacy
 
 (* PIT-less runs keep no router flow state: conservation and the
    custody ledger must still balance (drops degrade the aggregate
@@ -486,8 +433,6 @@ let () =
             test_differential_queue_tie_order;
           Alcotest.test_case "scenarios drop" `Quick
             test_scenarios_exercise_contention;
-          Alcotest.test_case "soa vs legacy flow store x50" `Quick
-            test_differential_soa_vs_legacy;
           Alcotest.test_case "pitless conservation x50" `Quick
             test_differential_pitless_checked;
         ] );
