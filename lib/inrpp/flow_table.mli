@@ -99,6 +99,6 @@ val recycled : t -> int
 
 val approx_bytes : t -> int
 (** Estimated retained heap for the per-flow state (arrays at current
-    capacity plus hashtable overhead).  An accounting estimate for gauges and reports — the
-    frozen bytes/flow figure comes from the [flows_1m] benchmark's
-    live-words measurement, not from this. *)
+    capacity plus hashtable overhead).  An accounting estimate for
+    gauges and reports — the frozen bytes/flow figure comes from the
+    [flows_1m] benchmark's live-words measurement, not from this. *)

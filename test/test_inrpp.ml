@@ -187,7 +187,9 @@ type ft_op =
 let ft_flows = 10
 let ft_gap = 0.5
 
-let pp_route = function Ft.Primary -> "Primary" | Ft.Via v -> Printf.sprintf "Via %d" v
+let pp_route = function
+  | Ft.Primary -> "Primary"
+  | Ft.Via v -> Printf.sprintf "Via %d" v
 
 let pp_ft_op = function
   | Install (f, c, d, r) -> Printf.sprintf "install %d c=%d d=%d r=%d" f c d r
@@ -203,7 +205,9 @@ let gen_ft_op =
   let flow = int_bound (ft_flows - 1) and link = int_range (-1) 5 in
   frequency
     [
-      (4, map4 (fun f c d r -> Install (f, c, d, r)) flow (int_bound 99) link link);
+      ( 4,
+        map4 (fun f c d r -> Install (f, c, d, r)) flow (int_bound 99) link link
+      );
       (3, map (fun f -> Release f) flow);
       (2, map3 (fun f d r -> Set_links (f, d, r)) flow link link);
       (4, map3 (fun f k v -> Set_flag (f, k, v)) flow (int_bound 4) bool);
@@ -213,7 +217,8 @@ let gen_ft_op =
           flow
           (* idle times straddling the gap, the gap itself included *)
           (oneofl [ 0.; 0.25 *. ft_gap; ft_gap; 1.5 *. ft_gap; 3. *. ft_gap ])
-          (oneof [ return Ft.Primary; map (fun v -> Ft.Via v) (int_bound 3) ]) );
+          (oneof [ return Ft.Primary; map (fun v -> Ft.Via v) (int_bound 3) ])
+      );
     ]
 
 (* after every op: each read, find/flow_of, iter order (and distinct
