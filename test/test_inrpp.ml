@@ -256,6 +256,43 @@ let ft_agrees t (m : Ref.t) =
   expect (Ft.recycled t = m.Ref.recycled);
   !ok
 
+(* apply one op to table and model alike; a flowlet choice must agree *)
+let ft_step t (m : Ref.t) now op =
+  let slot f = Ft.find t f in
+  let entry f = Hashtbl.find_opt m.Ref.flows f in
+  match op with
+  | Install (flow, content, data_link, req_link) ->
+    ignore (Ft.install t ~flow ~content ~data_link ~req_link : int);
+    Ref.install m ~flow ~content ~data_link ~req_link;
+    true
+  | Release flow ->
+    Ft.release t ~flow;
+    Ref.release m ~flow;
+    true
+  | Set_links (f, data_link, req_link) -> (
+    match entry f with
+    | None -> true
+    | Some e ->
+      Ft.set_links t (slot f) ~data_link ~req_link;
+      e.Ref.data_link <- data_link;
+      e.Ref.req_link <- req_link;
+      true)
+  | Set_flag (f, k, v) -> (
+    match entry f with
+    | None -> true
+    | Some e ->
+      let _, _, set = List.nth ft_flags k in
+      set t (slot f) v;
+      e.Ref.flags.(k) <- v;
+      true)
+  | Choose (f, dt, preferred) -> (
+    now := !now +. dt;
+    match entry f with
+    | None -> true
+    | Some _ ->
+      Ft.flowlet_choose t (slot f) ~now:!now ~preferred
+      = Ref.choose m ~flow:f ~now:!now ~preferred)
+
 let prop_ft_reference_model =
   QCheck.Test.make ~name:"reference model" ~count:500
     (QCheck.make
@@ -264,46 +301,45 @@ let prop_ft_reference_model =
     (fun ops ->
       let t = Ft.create ~gap:ft_gap () and m = Ref.create ~gap:ft_gap in
       let now = ref 0. in
-      List.for_all
-        (fun op ->
-          let slot f = Ft.find t f in
-          let entry f = Hashtbl.find_opt m.Ref.flows f in
-          let step_ok =
-            match op with
-            | Install (flow, content, data_link, req_link) ->
-              ignore (Ft.install t ~flow ~content ~data_link ~req_link : int);
-              Ref.install m ~flow ~content ~data_link ~req_link;
-              true
-            | Release flow ->
-              Ft.release t ~flow;
-              Ref.release m ~flow;
-              true
-            | Set_links (f, data_link, req_link) -> (
-              match entry f with
-              | None -> true
-              | Some e ->
-                Ft.set_links t (slot f) ~data_link ~req_link;
-                e.Ref.data_link <- data_link;
-                e.Ref.req_link <- req_link;
-                true)
-            | Set_flag (f, k, v) -> (
-              match entry f with
-              | None -> true
-              | Some e ->
-                let _, _, set = List.nth ft_flags k in
-                set t (slot f) v;
-                e.Ref.flags.(k) <- v;
-                true)
-            | Choose (f, dt, preferred) -> (
-              now := !now +. dt;
-              match entry f with
-              | None -> true
-              | Some _ ->
-                Ft.flowlet_choose t (slot f) ~now:!now ~preferred
-                = Ref.choose m ~flow:f ~now:!now ~preferred)
-          in
-          step_ok && ft_agrees t m)
-        ops)
+      List.for_all (fun op -> ft_step t m now op && ft_agrees t m) ops)
+
+(* The scenarios of the unit tests above, replayed against the
+   record-per-flow semantics of the old legacy layout (the [Ref]
+   model): the table must agree with it after every step, so each
+   scenario is pinned to those semantics as well as to its own
+   expectations. *)
+let ft_legacy_replay ops () =
+  let t = Ft.create ~gap:ft_gap () and m = Ref.create ~gap:ft_gap in
+  let now = ref 0. in
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) (pp_ft_op op) true (ft_step t m now op);
+      Alcotest.(check bool) (pp_ft_op op ^ ": agrees") true (ft_agrees t m))
+    ops
+
+let ft_legacy_install_release =
+  ft_legacy_replay
+    [ Install (7, 42, 3, -1); Set_links (7, 5, 2); Release 7; Release 7;
+      Install (7, 1, -1, 4) ]
+
+let ft_legacy_slot_recycling =
+  ft_legacy_replay
+    (List.init 8 (fun f -> Install (f, f, -1, -1))
+    @ [ Release 2; Release 5; Install (9, 9, -1, -1); Install (2, 2, 1, 1) ])
+
+let ft_legacy_reinstall_semantics =
+  ft_legacy_replay
+    [ Install (3, 1, 4, 4); Set_flag (3, 0, true); Set_flag (3, 4, true);
+      Choose (3, 1.0, Ft.Via 2); Install (3, 8, -1, -1);
+      Choose (3, 0.1, Ft.Primary); Release 3; Install (3, 8, -1, -1);
+      Choose (3, 0.1, Ft.Primary) ]
+
+let ft_legacy_flag_bits =
+  ft_legacy_replay
+    (Install (0, 0, -1, -1)
+     :: List.concat
+          (List.init (List.length ft_flags) (fun k ->
+               [ Set_flag (0, k, true); Set_flag (0, k, false) ])))
 
 (* ------------------------------------------------------------------ *)
 (* Session *)
@@ -1123,6 +1159,13 @@ let () =
           Alcotest.test_case "soa: reinstall semantics" `Quick
             ft_reinstall_semantics;
           Alcotest.test_case "soa: flag bits" `Quick ft_flags_roundtrip;
+          Alcotest.test_case "legacy: install/release" `Quick
+            ft_legacy_install_release;
+          Alcotest.test_case "legacy: slot recycling" `Quick
+            ft_legacy_slot_recycling;
+          Alcotest.test_case "legacy: reinstall semantics" `Quick
+            ft_legacy_reinstall_semantics;
+          Alcotest.test_case "legacy: flag bits" `Quick ft_legacy_flag_bits;
           Alcotest.test_case "invalid args" `Quick test_ft_invalid_args;
           QCheck_alcotest.to_alcotest prop_ft_reference_model;
         ] );
