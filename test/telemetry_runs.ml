@@ -71,14 +71,40 @@ let ebone_faults () =
   ignore (Inrpp.Protocol.run ~cfg:bulk ~obs ~faults ~horizon:600. g specs);
   exports "ebone_faults" obs
 
-let rcp () =
+(* the RCP, AIMD and HBH baseline runs share one scenario: three host
+   pairs across a 5 Mbps dumbbell bottleneck, 60 chunks each *)
+let dumbbell_run name run () =
   let g = Topology.Builders.dumbbell ~bottleneck_capacity:5e6 3 in
   let specs =
     List.init 3 (fun i -> Inrpp.Protocol.flow_spec ~src:(2 + i) ~dst:(5 + i) 60)
   in
   let obs = Obs.Observer.create () in
-  ignore (Baselines.Rcp.run ~horizon:20. ~obs g specs);
-  exports "rcp" obs
+  ignore (run obs g specs : Baselines.Run_result.t);
+  exports name obs
+
+let rcp =
+  dumbbell_run "rcp" (fun obs g specs ->
+      Baselines.Rcp.run ~horizon:20. ~obs g specs)
+let aimd =
+  dumbbell_run "aimd" (fun obs g specs ->
+      Baselines.Aimd.run ~horizon:20. ~obs g specs)
+let hbh =
+  dumbbell_run "hbh" (fun obs g specs ->
+      Baselines.Hbh.run ~horizon:20. ~obs g specs)
+
+(* fig3 has two link-disjoint paths from node 0 to node 3, so both
+   flows get a second subflow on its own wire *)
+let mptcp () =
+  let g = Topology.Builders.fig3 () in
+  let specs =
+    [
+      Inrpp.Protocol.flow_spec ~src:0 ~dst:3 120;
+      Inrpp.Protocol.flow_spec ~src:0 ~dst:3 60;
+    ]
+  in
+  let obs = Obs.Observer.create () in
+  ignore (Baselines.Mptcp.run ~horizon:20. ~obs g specs);
+  exports "mptcp" obs
 
 let flowsim () =
   let g = Topology.Builders.dumbbell 3 in
@@ -91,4 +117,13 @@ let flowsim () =
   ignore (Flowsim.Simulator.run ~obs g cfg);
   exports "flowsim" obs
 
-let runs = [ ("ebone", ebone); ("ebone_faults", ebone_faults); ("rcp", rcp); ("flowsim", flowsim) ]
+let runs =
+  [
+    ("ebone", ebone);
+    ("ebone_faults", ebone_faults);
+    ("rcp", rcp);
+    ("flowsim", flowsim);
+    ("aimd", aimd);
+    ("hbh", hbh);
+    ("mptcp", mptcp);
+  ]

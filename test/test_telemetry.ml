@@ -1,10 +1,11 @@
 (* Telemetry-export regression: the sampled series (NDJSON and CSV)
-   and the metric snapshot (NDJSON) of four observed runs are pinned
+   and the metric snapshot (NDJSON) of seven observed runs are pinned
    by SHA-256 in test/golden/telemetry.sha256 — an INRPP run on the
-   EBONE isp_zoo flows, the same run with a live link outage, an RCP
-   baseline run and a flow-level simulator run.  The ten artefact
-   goldens carry no sampled series, so this is what pins the bytes
-   Obs.Series/Obs.Sampler feed to Obs.Export.
+   EBONE isp_zoo flows, the same run with a live link outage, RCP,
+   AIMD and HBH baseline runs on one dumbbell, an MPTCP run over
+   fig3's two disjoint paths and a flow-level simulator run.  The ten
+   artefact goldens carry no sampled series, so this is what pins the
+   bytes Obs.Series/Obs.Sampler feed to Obs.Export.
 
    If an export changed on purpose, refresh the golden file with
 
