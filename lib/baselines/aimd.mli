@@ -16,6 +16,7 @@ val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
   ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** Defaults as in {!Harness.run_pull}; [obs] is forwarded there, so
-    an instrumented AIMD run emits the same metric and series names
-    (labelled [protocol=AIMD]) as every other baseline. *)
+(** Defaults as in {!Harness.start}; [obs] is forwarded to
+    {!Harness.run_pull}, so an instrumented AIMD run emits the same
+    metric and series names (labelled [protocol=AIMD]) as every other
+    baseline. *)

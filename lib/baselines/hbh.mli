@@ -17,8 +17,7 @@ val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
   ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** Defaults as in {!Harness.run_pull}.  [obs] adds the shared network
-    series (see {!Harness.observe_net}), a sampled per-flow
-    [chunks_received] series, and receiver-side [flow_fct_seconds] /
-    [chunk_queueing_delay_seconds] histograms, labelled
-    [("protocol", "HBH")]. *)
+(** Defaults as in {!Harness.start}.  HBH has no end-to-end loss
+    recovery and never retransmits, so [retransmissions] is always 0.
+    [obs] adds a sampled per-flow [chunks_received] series to what
+    {!Harness.start} registers, labelled [("protocol", "HBH")]. *)

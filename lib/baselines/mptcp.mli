@@ -9,7 +9,7 @@
     Like {!Aimd}, this is a parameter-only preset over
     {!Harness.run_pull}: the coupled linked-increase lives in
     {!Puller} (keyed on [coupled = true]), path diversity in
-    {!Harness.prepare}'s disjoint-path setup. *)
+    {!Harness.start}'s disjoint-path setup. *)
 
 val run :
   ?subflows:int -> ?chunk_bits:float -> ?queue_bits:float ->

@@ -19,25 +19,24 @@ type flow_state = {
 
 let max_outstanding = 512
 
-let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
-    ?(update_interval = 0.05) ?obs ?faults g specs =
+let run ?chunk_bits ?queue_bits ?horizon ?(update_interval = 0.05) ?obs
+    ?faults g specs =
   if update_interval <= 0. then invalid_arg "Rcp.run: update_interval <= 0";
-  let s = Harness.prepare ?queue_bits ~paths_per_flow:1 g specs in
-  Harness.apply_faults ?faults s;
-  let specs_arr = Array.of_list specs in
-  let nflows = Array.length specs_arr in
-  let fcts = Array.make nflows None in
-  let completed = ref 0 in
-  let finished_at = ref None in
+  let r =
+    Harness.start ~protocol:"RCP" ~paths_per_flow:1 ?chunk_bits ?queue_bits
+      ?horizon ?obs ?faults g specs
+  in
+  let chunk_bits = r.Harness.chunk_bits in
+  let eng = r.Harness.eng in
   let states =
-    Array.init nflows (fun i ->
+    Array.mapi
+      (fun i spec ->
         {
-          spec = specs_arr.(i);
+          spec;
           sess =
-            Inrpp.Session.create
-              ~total_chunks:specs_arr.(i).Inrpp.Protocol.chunks;
-          wire = s.Harness.wire_ids.(i).(0);
-          path = s.Harness.paths.(i).(0);
+            Inrpp.Session.create ~total_chunks:spec.Inrpp.Protocol.chunks;
+          wire = r.Harness.wire_ids.(i).(0);
+          path = r.Harness.paths.(i).(0);
           outstanding = Hashtbl.create 32;
           retry = Queue.create ();
           retry_set = Hashtbl.create 8;
@@ -48,27 +47,7 @@ let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
           pacing_armed = false;
           retx = 0;
         })
-  in
-  (* receiver-side distributions (only when observed) *)
-  let base_delay =
-    Array.map
-      (fun st -> Harness.path_base_delay ~chunk_bits st.path)
-      states
-  in
-  let fct_hist, qdelay_hist =
-    match obs with
-    | None -> (None, None)
-    | Some o ->
-      let reg = Obs.Observer.registry o in
-      let proto_label = ("protocol", "RCP") in
-      ( Some
-          (Obs.Metric.histogram reg ~labels:[ proto_label ] ~lo:0.
-             ~hi:horizon ~bins:64 "flow_fct_seconds"),
-        Some
-          (Array.init nflows (fun i ->
-               Obs.Metric.histogram reg
-                 ~labels:[ proto_label; ("flow", string_of_int i) ]
-                 ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds")) )
+      r.Harness.specs
   in
   (* explicit rate feedback: max-min share among active flows *)
   let update_rates () =
@@ -109,8 +88,8 @@ let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
     from_retry ()
   in
   let send_request st idx =
-    Hashtbl.replace st.outstanding idx (Sim.Engine.now s.Harness.eng);
-    Net.inject s.Harness.net ~at:st.spec.Inrpp.Protocol.dst
+    Hashtbl.replace st.outstanding idx (Sim.Engine.now eng);
+    Net.inject r.Harness.net ~at:st.spec.Inrpp.Protocol.dst
       (Packet.request ~flow:st.wire ~nc:idx
          ~ack:(Inrpp.Session.next_needed st.sess)
          ~ac:idx)
@@ -121,7 +100,7 @@ let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
       st.pacing_armed <- true;
       let gap = chunk_bits /. st.rate in
       ignore
-        (Sim.Engine.schedule s.Harness.eng ~delay:gap (fun () ->
+        (Sim.Engine.schedule eng ~delay:gap (fun () ->
              st.pacing_armed <- false;
              if not st.finished then begin
                if Hashtbl.length st.outstanding < max_outstanding then begin
@@ -136,7 +115,7 @@ let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
   (* loss recovery: conservative fixed check *)
   let rec check_timeouts st =
     if not st.finished then begin
-      let now = Sim.Engine.now s.Harness.eng in
+      let now = Sim.Engine.now eng in
       let expired =
         Hashtbl.fold
           (fun idx t0 acc -> if now -. t0 > 0.5 then idx :: acc else acc)
@@ -151,112 +130,49 @@ let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
             st.retx <- st.retx + 1
           end)
         expired;
-      ignore
-        (Sim.Engine.schedule s.Harness.eng ~delay:0.1 (fun () ->
-             check_timeouts st))
+      ignore (Sim.Engine.schedule eng ~delay:0.1 (fun () -> check_timeouts st))
     end
   in
-  (* endpoint hooks *)
-  let producers : (int, flow_state) Hashtbl.t = Hashtbl.create 32 in
-  let consumers : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  Array.iteri
-    (fun i st ->
-      Hashtbl.replace producers st.wire st;
-      Hashtbl.replace consumers st.wire i)
-    states;
-  Array.iteri
-    (fun node fwd ->
-      ignore node;
-      Forwarder.set_local_producer fwd (fun p ->
-          match p.Packet.header, Hashtbl.find_opt producers (Packet.flow p) with
-          | Packet.Request { nc; _ }, Some st
-            when nc < st.spec.Inrpp.Protocol.chunks ->
-            Forwarder.originate_data
-              s.Harness.forwarders.(st.spec.Inrpp.Protocol.src)
-              (Packet.data ~flow:st.wire ~idx:nc
-                 ~born:(Sim.Engine.now s.Harness.eng) chunk_bits)
-          | _ -> ());
-      Forwarder.set_local_consumer fwd (fun p ->
-          match p.Packet.header, Hashtbl.find_opt consumers (Packet.flow p) with
-          | Packet.Data { idx; born; _ }, Some i ->
-            (match qdelay_hist with
-            | Some hs ->
-              let d =
-                Sim.Engine.now s.Harness.eng -. born -. base_delay.(i)
-              in
-              Obs.Metric.observe hs.(i) (Float.max 0. d)
-            | None -> ());
-            let st = states.(i) in
-            if not st.finished then begin
-              Hashtbl.remove st.outstanding idx;
-              match Inrpp.Session.receive st.sess idx with
-              | `New ->
-                if Inrpp.Session.is_complete st.sess then begin
-                  st.finished <- true;
-                  let now = Sim.Engine.now s.Harness.eng in
-                  let fct =
-                    match st.started with
-                    | Some t0 -> now -. t0
-                    | None -> now
-                  in
-                  fcts.(i) <- Some fct;
-                  (match fct_hist with
-                  | Some h -> Obs.Metric.observe h fct
-                  | None -> ());
-                  incr completed;
-                  if !completed = nflows then finished_at := Some now
-                end
-              | `Duplicate -> ()
-            end
-          | _ -> ());
-      Net.set_handler s.Harness.net node (Forwarder.handler fwd))
-    s.Harness.forwarders;
-  (* observability: shared net series plus RCP's assigned-rate series *)
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = Obs.Observer.registry o in
-    let smp, proto_label = Harness.observe_net o ~protocol:"RCP" ~horizon s in
-    Array.iteri
-      (fun i st ->
-        let labels = [ proto_label; ("flow", string_of_int i) ] in
-        Obs.Metric.callback reg ~labels "rcp_retransmissions_total"
-          (fun () -> float_of_int st.retx);
-        let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
-        track "rcp_rate_bps" (fun () -> st.rate);
-        track "chunks_received" (fun () ->
-            float_of_int (Inrpp.Session.received_count st.sess)))
-      states;
-    Obs.Sampler.start ~stop:(fun () -> !completed = nflows) smp);
+  Harness.on_data r (fun ~flow ~subflow:_ p ->
+      let st = states.(flow) in
+      match p.Packet.header with
+      | Packet.Data { idx; _ } when not st.finished -> (
+        Hashtbl.remove st.outstanding idx;
+        match Inrpp.Session.receive st.sess idx with
+        | `New ->
+          if Inrpp.Session.is_complete st.sess then begin
+            st.finished <- true;
+            let now = Sim.Engine.now eng in
+            let fct =
+              match st.started with
+              | Some t0 -> now -. t0
+              | None -> now
+            in
+            Harness.complete r flow ~fct
+          end
+        | `Duplicate -> ())
+      | _ -> ());
+  (* observability: RCP's assigned-rate series beside the shared ones *)
+  Harness.observe_flows r
+    ~received:(fun i -> Inrpp.Session.received_count states.(i).sess)
+    (fun i ~metric ~series ->
+      let st = states.(i) in
+      metric "rcp_retransmissions_total" (fun () -> float_of_int st.retx);
+      series "rcp_rate_bps" (fun () -> st.rate));
   (* rate feedback loop *)
   ignore
-  @@ Sim.Engine.schedule_periodic s.Harness.eng ~interval:update_interval
-       (fun () ->
+  @@ Sim.Engine.schedule_periodic eng ~interval:update_interval (fun () ->
          update_rates ();
-         !completed < nflows);
+         not (Harness.all_complete r));
   (* flow starts *)
-  Array.iteri
-    (fun i st ->
+  Array.iter
+    (fun st ->
       ignore
-        (Sim.Engine.schedule s.Harness.eng
-           ~delay:st.spec.Inrpp.Protocol.start (fun () ->
-             st.started <- Some (Sim.Engine.now s.Harness.eng);
+        (Sim.Engine.schedule eng ~delay:st.spec.Inrpp.Protocol.start (fun () ->
+             st.started <- Some (Sim.Engine.now eng);
              update_rates ();
              pace st;
-             check_timeouts st));
-      ignore i)
+             check_timeouts st)))
     states;
-  Sim.Engine.run ~until:horizon s.Harness.eng;
-  let sim_time =
-    match !finished_at with
-    | Some tm -> tm
-    | None -> Sim.Engine.now s.Harness.eng
-  in
-  Run_result.make ~protocol:"RCP" ~fcts ~chunk_bits
-    ~chunks:(Array.map (fun sp -> sp.Inrpp.Protocol.chunks) specs_arr)
-    ~drops:
-      (Array.fold_left
-         (fun acc f -> acc + Forwarder.drops f)
-         0 s.Harness.forwarders)
-    ~retransmissions:(Array.fold_left (fun acc st -> acc + st.retx) 0 states)
-    ~sim_time
+  Harness.finish r ~retransmissions:(fun () ->
+      Array.fold_left (fun acc st -> acc + st.retx) 0 states)

@@ -13,8 +13,8 @@ val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
   ?update_interval:float -> ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** [update_interval] (default 50 ms) is the rate-feedback period.
-    [obs] adds the shared network series (see {!Harness.observe_net}),
-    a sampled per-flow [rcp_rate_bps] series, and receiver-side
-    [flow_fct_seconds] / [chunk_queueing_delay_seconds] histograms,
+(** Defaults as in {!Harness.start}; [update_interval] (default 50 ms)
+    is the rate-feedback period.  [obs] adds per-flow
+    [rcp_retransmissions_total] metrics and sampled [rcp_rate_bps] and
+    [chunks_received] series to what {!Harness.start} registers, all
     labelled [("protocol", "RCP")]. *)
