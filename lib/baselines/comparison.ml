@@ -35,13 +35,7 @@ let resolve_specs ?workload g specs =
   match workload with
   | None -> specs
   | Some w ->
-    specs
-    @ List.map
-        (fun (r : Workload.Request.t) ->
-          Inrpp.Protocol.flow_spec ~start:r.Workload.Request.start
-            ~content:r.Workload.Request.content ~src:r.Workload.Request.src
-            ~dst:r.Workload.Request.dst r.Workload.Request.chunks)
-        (Workload.Gen.requests w g)
+    specs @ List.map Inrpp.Protocol.of_request (Workload.Gen.requests w g)
 
 let run_one ?(cfg = Inrpp.Config.default) ?(horizon = 120.) ?obs ?faults
     ?workload protocol g specs =

@@ -13,11 +13,35 @@ type flow_spec = {
   content : int option;
 }
 
+(* The one flow-spec check, shared by [flow_spec] and [run]: why [s]
+   is not a transfer a run can simulate.  Node ids are checked only
+   when the graph's node count is known. *)
+let spec_error ?nodes s =
+  let outside id =
+    match nodes with Some n -> id < 0 || id >= n | None -> false
+  in
+  if s.chunks <= 0 then Some "chunks <= 0"
+  else if s.src = s.dst then Some "src = dst"
+  else if Float.is_nan s.start then Some "NaN start"
+  else if s.start < 0. then Some "negative start"
+  else if outside s.src then Some (Printf.sprintf "src %d not in graph" s.src)
+  else if outside s.dst then Some (Printf.sprintf "dst %d not in graph" s.dst)
+  else None
+
 let flow_spec ?(start = 0.) ?content ~src ~dst chunks =
-  if chunks <= 0 then invalid_arg "Protocol.flow_spec: chunks <= 0";
-  if src = dst then invalid_arg "Protocol.flow_spec: src = dst";
-  if start < 0. then invalid_arg "Protocol.flow_spec: negative start";
-  { src; dst; chunks; start; content }
+  let s = { src; dst; chunks; start; content } in
+  match spec_error s with
+  | Some e -> invalid_arg ("Protocol.flow_spec: " ^ e)
+  | None -> s
+
+let of_request (r : Workload.Request.t) =
+  {
+    src = r.Workload.Request.src;
+    dst = r.Workload.Request.dst;
+    chunks = r.Workload.Request.chunks;
+    start = r.Workload.Request.start;
+    content = Some r.Workload.Request.content;
+  }
 
 type flow_result = {
   spec : flow_spec;
@@ -87,18 +111,18 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     | Some w ->
       List.of_seq
         (Seq.append (List.to_seq specs)
-           (Seq.map
-              (fun (r : Workload.Request.t) ->
-                {
-                  src = r.Workload.Request.src;
-                  dst = r.Workload.Request.dst;
-                  chunks = r.Workload.Request.chunks;
-                  start = r.Workload.Request.start;
-                  content = Some r.Workload.Request.content;
-                })
-              (Workload.Gen.requests_seq w g)))
+           (Seq.map of_request (Workload.Gen.requests_seq w g)))
   in
   if specs = [] then invalid_arg "Protocol.run: no flows";
+  (* record literals and replayed traces bypass [flow_spec]: check
+     every flow before building anything *)
+  let nodes = Graph.node_count g in
+  List.iteri
+    (fun i s ->
+      match spec_error ~nodes s with
+      | Some e -> invalid_arg (Printf.sprintf "Protocol.run: flow %d: %s" i e)
+      | None -> ())
+    specs;
   if horizon <= 0. then invalid_arg "Protocol.run: horizon <= 0";
   let pitless = cfg.Config.pitless in
   let total_flows = List.length specs in
@@ -301,6 +325,38 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
         ~time:(Sim.Engine.now eng) ~flow ~idx
     | _ -> ()
   in
+  (* Point a flow's forwarding state along [path]: the PIT-less label
+     stacks, or a router entry at every hop plus the teardown set.
+     Set-up and reconvergence both route through here;
+     [Router.reroute_flow] installs an entry a node does not have yet
+     and keeps the flowlet and custody state of one it has. *)
+  let route flow_id spec (path : Path.t) =
+    if pitless then begin
+      (* no router state: the endpoints carry the whole path as a label
+         stack — data towards the consumer, requests towards the
+         producer *)
+      data_routes.(flow_id) <- List.tl path.Path.nodes;
+      req_routes.(flow_id) <- List.tl (List.rev path.Path.nodes)
+    end
+    else begin
+      let nodes = Array.of_list path.Path.nodes in
+      let links = Array.of_list path.Path.links in
+      let n = Array.length nodes in
+      for k = 0 to n - 1 do
+        let data_link = if k < n - 1 then Some links.(k) else None in
+        let req_link =
+          if k > 0 then Graph.find_link g nodes.(k) nodes.(k - 1) else None
+        in
+        Router.reroute_flow routers.(nodes.(k)) ?content:spec.content
+          ~flow:flow_id ~data_link ~req_link ()
+      done;
+      if cfg.Config.flow_teardown then
+        install_sites.(flow_id) <-
+          List.fold_left
+            (fun acc nd -> if List.mem nd acc then acc else nd :: acc)
+            install_sites.(flow_id) path.Path.nodes
+    end
+  in
   (* Route reconvergence: detoured data is source-routed and survives
      an outage on its own, but requests and back-pressure carry only a
      flow id — their hop-by-hop state must follow the residual
@@ -323,31 +379,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
           in
           match Topology.Dijkstra.path_to tree spec.dst with
           | None -> ()
-          | Some path ->
-            if pitless then begin
-              data_routes.(flow_id) <- List.tl path.Path.nodes;
-              req_routes.(flow_id) <- List.tl (List.rev path.Path.nodes)
-            end
-            else begin
-              let nodes = Array.of_list path.Path.nodes in
-              let links = Array.of_list path.Path.links in
-              let n = Array.length nodes in
-              for k = 0 to n - 1 do
-                let data_link = if k < n - 1 then Some links.(k) else None in
-                let req_link =
-                  if k > 0 then Graph.find_link g nodes.(k) nodes.(k - 1)
-                  else None
-                in
-                Router.reroute_flow routers.(nodes.(k)) ?content:spec.content
-                  ~flow:flow_id ~data_link ~req_link ()
-              done;
-              if cfg.Config.flow_teardown then
-                install_sites.(flow_id) <-
-                  List.fold_left
-                    (fun acc nd ->
-                      if List.mem nd acc then acc else nd :: acc)
-                    install_sites.(flow_id) path.Path.nodes
-            end)
+          | Some path -> route flow_id spec path)
       specs
   in
   let driver =
@@ -468,8 +500,6 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
             (Printf.sprintf "Protocol.run: flow %d -> %d unroutable" spec.src
                spec.dst)
       in
-      let nodes = Array.of_list path.Path.nodes in
-      let links = Array.of_list path.Path.links in
       base_delay.(flow_id) <-
         List.fold_left
           (fun acc (l : Link.t) ->
@@ -477,25 +507,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
             +. (cfg.Config.chunk_bits
                /. (l.Link.capacity *. cfg.Config.speed_factor)))
           0. path.Path.links;
-      let n = Array.length nodes in
-      if pitless then begin
-        (* no router state: the endpoints carry the whole path as a
-           label stack — data towards the consumer, requests towards
-           the producer *)
-        data_routes.(flow_id) <- List.tl path.Path.nodes;
-        req_routes.(flow_id) <- List.tl (List.rev path.Path.nodes)
-      end
-      else begin
-        for k = 0 to n - 1 do
-          let data_link = if k < n - 1 then Some links.(k) else None in
-          let req_link =
-            if k > 0 then Graph.find_link g nodes.(k) nodes.(k - 1) else None
-          in
-          Router.install_flow routers.(nodes.(k)) ?content:spec.content
-            ~flow:flow_id ~data_link ~req_link ()
-        done;
-        install_sites.(flow_id) <- path.Path.nodes
-      end;
+      route flow_id spec path;
       (* senders sharing an outgoing link pace at its processor-sharing
          share (§3.2: flows multiplexed processor-sharing) *)
       let pace_rate =

@@ -21,7 +21,13 @@ val flow_spec :
   ?start:float -> ?content:int -> src:Topology.Node.id ->
   dst:Topology.Node.id -> int -> flow_spec
 (** [flow_spec ~src ~dst chunks]; [start] defaults to 0.
-    @raise Invalid_argument if [chunks <= 0] or [src = dst]. *)
+    @raise Invalid_argument if [chunks <= 0], [src = dst], or [start]
+    is negative or NaN. *)
+
+val of_request : Workload.Request.t -> flow_spec
+(** The transfer a workload request asks for; the request's catalogue
+    object becomes [content].  Not checked here: {!run} checks every
+    flow it is given. *)
 
 type flow_result = {
   spec : flow_spec;
@@ -150,6 +156,9 @@ val run :
     run is bit-identical to the pre-overload protocol.
     @raise Invalid_argument on an invalid config, no flows at all
     (empty static list and no or empty workload), or an unroutable
-    flow. *)
+    flow.  Every static and generated flow passes {!flow_spec}'s check
+    and must name nodes of [g]; the first that does not raises
+    [Invalid_argument "Protocol.run: flow N: <reason>"] before the run
+    builds anything. *)
 
 val pp_result : Format.formatter -> result -> unit

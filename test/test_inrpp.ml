@@ -1025,6 +1025,48 @@ let test_protocol_validation () =
   Alcotest.check_raises "bad spec" (Invalid_argument "Protocol.flow_spec: chunks <= 0")
     (fun () -> ignore (Inrpp.Protocol.flow_spec ~src:0 ~dst:1 0))
 
+(* Record literals bypass [flow_spec]; [run] checks every flow itself,
+   naming the first bad one, before it builds anything.  One case per
+   way a spec can be wrong. *)
+let spec_check_cases =
+  let g = Topology.Builders.dumbbell 1 in
+  let ok = Inrpp.Protocol.flow_spec ~src:2 ~dst:3 10 in
+  let rejects name bad reason =
+    Alcotest.test_case ("spec check: " ^ name) `Quick (fun () ->
+        Alcotest.check_raises name
+          (Invalid_argument ("Protocol.run: flow 1: " ^ reason))
+          (fun () -> ignore (Inrpp.Protocol.run g [ ok; bad ])))
+  in
+  [
+    rejects "dst = src"
+      { ok with Inrpp.Protocol.dst = ok.Inrpp.Protocol.src }
+      "src = dst";
+    rejects "dst outside" { ok with Inrpp.Protocol.dst = 999 }
+      "dst 999 not in graph";
+    rejects "src outside" { ok with Inrpp.Protocol.src = 999 }
+      "src 999 not in graph";
+    rejects "negative src" { ok with Inrpp.Protocol.src = -1 }
+      "src -1 not in graph";
+    rejects "zero chunks" { ok with Inrpp.Protocol.chunks = 0 } "chunks <= 0";
+    rejects "negative start" { ok with Inrpp.Protocol.start = -1. }
+      "negative start";
+    rejects "NaN start" { ok with Inrpp.Protocol.start = Float.nan }
+      "NaN start";
+    Alcotest.test_case "spec check: flow_spec NaN start" `Quick (fun () ->
+        Alcotest.check_raises "flow_spec"
+          (Invalid_argument "Protocol.flow_spec: NaN start") (fun () ->
+            ignore (Inrpp.Protocol.flow_spec ~start:Float.nan ~src:2 ~dst:3 10)));
+    Alcotest.test_case "spec check: of_request" `Quick (fun () ->
+        let r =
+          { Workload.Request.start = 0.5; src = 2; dst = 3; content = 7;
+            chunks = 4 }
+        in
+        Alcotest.(check bool)
+          "same spec" true
+          (Inrpp.Protocol.of_request r
+          = Inrpp.Protocol.flow_spec ~start:0.5 ~content:7 ~src:2 ~dst:3 4));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -1234,7 +1276,8 @@ let () =
           Alcotest.test_case "isp multi-flow integration" `Quick test_protocol_isp_multi_flow;
           Alcotest.test_case "deterministic" `Quick test_protocol_deterministic;
           Alcotest.test_case "validation" `Quick test_protocol_validation;
-        ] );
+        ]
+        @ spec_check_cases );
       ( "properties",
         qc
           [
