@@ -114,8 +114,8 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
            (Seq.map of_request (Workload.Gen.requests_seq w g)))
   in
   if specs = [] then invalid_arg "Protocol.run: no flows";
-  (* record literals and replayed traces bypass [flow_spec]: check
-     every flow before building anything *)
+  (* record literals bypass [flow_spec]: check every static and
+     generated flow before building anything *)
   let nodes = Graph.node_count g in
   List.iteri
     (fun i s ->
