@@ -741,18 +741,21 @@ let fct () =
       *. (1. -. (inrp.Flowsim.Results.mean_fct /. sp.Flowsim.Results.mean_fct)))
   | _ -> ()
 
+let loss_rates = [ 0.; 0.005; 0.02; 0.05 ]
+
+let loss_run ?loss_rate () =
+  let g = Topology.Builders.line ~capacity:10e6 ~delay:2e-3 4 in
+  Inrpp.Protocol.run ~cfg:bulk ?loss_rate ~horizon:120. g
+    [ Inrpp.Protocol.flow_spec ~src:0 ~dst:3 200 ]
+
 let loss () =
   section "Extension — failure injection: recovery under random wire loss";
   Format.printf
     "(the paper handles loss with explicit timers/NACKs instead of      treating it as congestion; 200-chunk transfer over a 3-hop line)@.@.";
-  let g = Topology.Builders.line ~capacity:10e6 ~delay:2e-3 4 in
   let rows =
     List.map
       (fun rate ->
-        let r =
-          Inrpp.Protocol.run ~cfg:bulk ~loss_rate:rate ~horizon:120. g
-            [ Inrpp.Protocol.flow_spec ~src:0 ~dst:3 200 ]
-        in
+        let r = loss_run ~loss_rate:rate () in
         let fr = r.Inrpp.Protocol.flows.(0) in
         [
           Metrics.Report.percent rate;
@@ -763,7 +766,7 @@ let loss () =
           string_of_int fr.Inrpp.Protocol.duplicates;
           string_of_int fr.Inrpp.Protocol.requests_sent;
         ])
-      [ 0.; 0.005; 0.02; 0.05 ]
+      loss_rates
   in
   Metrics.Report.table
     ~header:[ "wire loss"; "fct"; "received"; "dup"; "requests" ]

@@ -49,6 +49,14 @@ val popularity_grid :
     INRPP with ICN caching on and through the AIMD pull baseline.  The
     [popularity] entry in {!all} runs the defaults. *)
 
+val loss_rates : float list
+(** Wire-loss rates of the [loss] experiment's rows. *)
+
+val loss_run : ?loss_rate:float -> unit -> Inrpp.Protocol.result
+(** The [loss] experiment's transfer (200 chunks over a 3-hop 10 Mbps
+    line) at one wire-loss rate ([loss_rate] as for
+    {!Inrpp.Protocol.run}). *)
+
 val capture : (unit -> unit) -> string
 (** Run with stdout redirected to a temp file; return the bytes
     written.  [Format.std_formatter] is flushed around the redirect so

@@ -151,25 +151,23 @@ module Conservation = struct
 
   type t = {
     coll : coll;
-    lossy : bool;
     pushed : (int, int) Hashtbl.t;
     delivered : (int, int) Hashtbl.t;
     destroyed : (int, int) Hashtbl.t;
     mutable pushes : int;
     mutable deliveries : int;
-    mutable fault_losses : int;
+    mutable destroyed_total : int;
   }
 
-  let create ?(lossy = false) coll =
+  let create coll =
     {
       coll;
-      lossy;
       pushed = Hashtbl.create 1024;
       delivered = Hashtbl.create 1024;
       destroyed = Hashtbl.create 64;
       pushes = 0;
       deliveries = 0;
-      fault_losses = 0;
+      destroyed_total = 0;
     }
 
   let count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
@@ -206,11 +204,12 @@ module Conservation = struct
   let pushes t = t.pushes
   let deliveries t = t.deliveries
 
-  (* fault attribution: a destroyed chunk copy must trace back to a
+  (* loss attribution: a destroyed chunk copy must trace back to a
      distinct push — more copies destroyed+delivered than were ever
-     sent means the fault path conjured or double-counted data *)
-  let note_fault_loss t ~time ~flow ~idx =
-    t.fault_losses <- t.fault_losses + 1;
+     sent means the fault or wire-loss path conjured or double-counted
+     data *)
+  let note_destroyed t ~time ~flow ~idx =
+    t.destroyed_total <- t.destroyed_total + 1;
     let k = pack ~flow ~idx in
     let dead = count t.destroyed k + 1 in
     Hashtbl.replace t.destroyed k dead;
@@ -218,37 +217,24 @@ module Conservation = struct
     if d + dead > p then
       violate t.coll ~time ~checker:"conservation"
         (Printf.sprintf
-           "flow %d chunk %d: %d delivered + %d fault-destroyed exceeds %d sent"
+           "flow %d chunk %d: %d delivered + %d destroyed exceeds %d sent"
            flow idx d dead p)
 
-  let fault_losses t = t.fault_losses
-
-  let finish t ~time ~quiescent ~in_custody ~drops ~wire_losses =
+  let finish t ~time ~quiescent ~in_custody ~drops =
     if quiescent then
-      if drops = 0 && wire_losses = 0 && t.fault_losses = 0 && not t.lossy
-      then begin
+      if drops = 0 && t.destroyed_total = 0 then begin
         if t.pushes <> t.deliveries + in_custody then
           violate t.coll ~time ~checker:"conservation"
             (Printf.sprintf
                "at quiescence: %d chunks sent <> %d delivered + %d in custody"
                t.pushes t.deliveries in_custody)
       end
-      else begin
-        if t.deliveries + in_custody > t.pushes then
-          violate t.coll ~time ~checker:"conservation"
-            (Printf.sprintf
-               "at quiescence: %d delivered + %d in custody exceeds %d sent"
-               t.deliveries in_custody t.pushes);
-        (* with faults attributed exactly, the buckets must still fit
-           inside the pushes even before drops are added in *)
-        if
-          (not t.lossy) && wire_losses = 0
-          && t.deliveries + in_custody + t.fault_losses > t.pushes
-        then
-          violate t.coll ~time ~checker:"conservation"
-            (Printf.sprintf
-               "at quiescence: %d delivered + %d in custody + %d \
-                fault-destroyed exceeds %d sent"
-               t.deliveries in_custody t.fault_losses t.pushes)
-      end
+      else if t.deliveries + in_custody + t.destroyed_total > t.pushes then
+        (* queue drops are not attributed per chunk, so with drops the
+           buckets need only fit inside the pushes *)
+        violate t.coll ~time ~checker:"conservation"
+          (Printf.sprintf
+             "at quiescence: %d delivered + %d in custody + %d destroyed \
+              exceeds %d sent"
+             t.deliveries in_custody t.destroyed_total t.pushes)
 end

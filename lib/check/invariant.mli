@@ -75,16 +75,15 @@ val custody_ledger : t -> name:string -> (unit -> int * int) -> unit
 
 (** {1 Chunk conservation}
 
-    sent = delivered + in custody (+ drops and wire losses), per chunk
-    id and in aggregate at quiescence. *)
+    sent = delivered + in custody, per chunk id and in aggregate at
+    quiescence; destroyed copies (faults, wire loss) are attributed
+    per chunk and queue drops relax the aggregate to an inequality. *)
 
 module Conservation : sig
   type coll = t
   type t
 
-  val create : ?lossy:bool -> coll -> t
-  (** [lossy] relaxes the aggregate equality to an inequality (wire
-      loss makes exact accounting impossible without per-link taps). *)
+  val create : coll -> t
 
   val handler : t -> float -> Chunksim.Trace.event -> unit
   (** Attach to the trace: counts [Cache_hit] events as synthesised
@@ -98,24 +97,22 @@ module Conservation : sig
       delivered more times than it was sent (duplicate delivery) or
       never sent at all. *)
 
-  val note_fault_loss : t -> time:float -> flow:int -> idx:int -> unit
-  (** A chunk copy was destroyed by a named fault (killed on a downed
-      link, flushed from a queue, wiped from custody, or swallowed by
-      a dead node).  Immediately flags a chunk with more copies
+  val note_destroyed : t -> time:float -> flow:int -> idx:int -> unit
+  (** A chunk copy was destroyed: killed on a downed link, flushed
+      from a queue, wiped from custody, swallowed by a dead node, or
+      lost on the wire.  Immediately flags a chunk with more copies
       delivered + destroyed than were ever sent. *)
 
   val pushes : t -> int
   val deliveries : t -> int
 
-  val fault_losses : t -> int
-  (** Total fault-attributed chunk copies so far. *)
-
   val finish :
-    t -> time:float -> quiescent:bool -> in_custody:int -> drops:int ->
-    wire_losses:int -> unit
+    t -> time:float -> quiescent:bool -> in_custody:int -> drops:int -> unit
   (** End-of-run aggregate check.  [quiescent] means every flow
       completed (no data in flight); [in_custody] is the chunk count
-      still held across all routers.  With faults recorded the strict
-      equality relaxes to: delivered + in custody + fault-destroyed
-      must not exceed sent. *)
+      still held across all routers; [drops] counts queue-full
+      refusals, which are not attributed per chunk.  With no drops
+      and nothing destroyed, sent must equal delivered + in custody;
+      otherwise delivered + in custody + destroyed must not exceed
+      sent. *)
 end

@@ -1,7 +1,10 @@
 (** Output interface: serialises packets onto one directed link.
 
     Owns a bounded FIFO; transmits at link rate; delivers each packet
-    to the far node after the propagation delay.  Forwarding speed can
+    to the far node after the propagation delay.  The transmitter is
+    lazy — one engine event per transmitted packet, its arrival — yet
+    observationally identical to an eager two-event transmitter
+    (serialisation-complete event, then propagation event).  Forwarding speed can
     be derated below nominal capacity (the paper's §3.3 footnote about
     not operating at full capacity) via [speed_factor]. *)
 
@@ -20,8 +23,11 @@ val create :
 (** [queue_bits] defaults to 64 chunks of 10 kB (≈ 5.1 Mbit);
     [speed_factor] in (0, 1], default 1; [discipline] defaults to
     FIFO.  [loss] injects random wire loss: each transmitted packet is
-    discarded with the given probability (failure-injection tests);
-    default none.
+    discarded at its arrival instant with the given probability,
+    drawn from the given stream (failure-injection tests); default
+    none.  A lost packet has still been serialised: it counts in
+    {!tx_bits}, {!tx_packets} and {!utilisation}, and costs its one
+    arrival event.
     @raise Invalid_argument on a non-positive queue, factor outside
     (0, 1] or loss probability outside [0, 1). *)
 
@@ -46,7 +52,8 @@ val tx_bits : t -> float
 val tx_packets : t -> int
 val drops : t -> int
 val wire_losses : t -> int
-(** Packets discarded by loss injection. *)
+(** Packets discarded by loss injection (each also goes through the
+    {!set_fault_tap} tap). *)
 
 (** {1 Fault control}
 
@@ -72,18 +79,19 @@ val fault_drops : t -> int
     the queue. *)
 
 val set_fault_tap : t -> (Packet.t -> unit) -> unit
-(** Called once per fault-destroyed packet, at the instant it dies.
-    Default: ignore. *)
+(** Called once per packet the interface destroys — fault-destroyed
+    (see {!fault_drops}) or lost on the wire (see {!wire_losses}) — at
+    the instant it dies.  Default: ignore. *)
 
 (** {1 Observability taps} *)
 
 val set_span_tap : t -> (float -> Packet.t -> unit) option -> unit
 (** Span tracing: [f start p] fires when [p]'s serialisation begins,
-    with the serialisation start time (which, on the lazy loss-free
-    path, may lie before the engine's current time — the pop is
-    performed lazily at the virtual transmitter's clock).  Default
+    with the serialisation start time (which may lie before the
+    engine's current time — the pop is performed lazily at the
+    virtual transmitter's clock).  Default
     [None]; the disabled cost is one match per transmitted packet. *)
 
 val set_profile_kind : t -> int -> unit
 (** Kind id (see {!Sim.Engine.profile_kind}) claimed by this
-    interface's arrival/serialisation events.  Default 0. *)
+    interface's arrival events.  Default 0. *)

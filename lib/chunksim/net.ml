@@ -17,16 +17,12 @@ type t = {
 
 let silent ~from:_ (_ : Packet.t) = ()
 
-let create ?queue_bits ?speed_factor ?discipline ?loss_rate
+let create ?queue_bits ?speed_factor ?discipline ?(loss_rate = 0.)
     ?(loss_seed = 0xbadL) eng g =
-  (* an explicit rate — even 0 — selects the legacy two-event transmit
-     path; probability 0 never actually loses, which is exactly what
-     the differential harness uses to pit the loss-free fast path
-     against the legacy scheme on identical traffic *)
-  let loss =
-    match loss_rate with
-    | Some p -> Some (p, Sim.Rng.create loss_seed)
-    | None -> None
+  (* one loss stream per link: link [i] draws from the [i]-th split of
+     [loss_seed], so a link's losses depend only on its own traffic *)
+  let loss_streams =
+    if loss_rate = 0. then None else Some (Sim.Rng.create loss_seed)
   in
   let handlers = Array.make (Graph.node_count g) silent in
   let t =
@@ -43,6 +39,9 @@ let create ?queue_bits ?speed_factor ?discipline ?loss_rate
      the indirection through the record lets handlers be installed after
      interface construction *)
   let make_iface (l : Link.t) =
+    let loss =
+      Option.map (fun base -> (loss_rate, Sim.Rng.split base)) loss_streams
+    in
     Iface.create ?queue_bits ?speed_factor ?discipline ?loss eng l
       ~deliver:(fun p ->
         t.handlers.(l.Link.dst) ~from:(Some l) p)
@@ -73,14 +72,6 @@ let send t ~via p =
   | Some _ | None -> Iface.send t.ifaces.(via.Link.id) p
 
 let inject t ~at p = t.handlers.(at) ~from:None p
-
-let total_drops t = Array.fold_left (fun acc i -> acc + Iface.drops i) 0 t.ifaces
-
-let total_wire_losses t =
-  Array.fold_left (fun acc i -> acc + Iface.wire_losses i) 0 t.ifaces
-
-let total_tx_bits t =
-  Array.fold_left (fun acc i -> acc +. Iface.tx_bits i) 0. t.ifaces
 
 let handler t node = t.handlers.(node)
 

@@ -17,11 +17,12 @@ val create :
   ?discipline:Iface.discipline -> ?loss_rate:float -> ?loss_seed:int64 ->
   Sim.Engine.t -> Topology.Graph.t -> t
 (** Interface parameters are uniform; see {!Iface.create}.
-    [loss_rate]/[loss_seed] inject seeded random wire loss on every
-    link (default none).  Passing an explicit rate — even [0.] —
-    selects the interfaces' legacy two-event transmit path; rate 0
-    never actually loses, which the differential harness exploits to
-    compare the loss-free fast path against the legacy scheme. *)
+    [loss_rate] injects random wire loss on every link (default [0.],
+    no loss).  Each link draws from its own stream, derived from
+    [loss_seed] and the link id alone, so one link's losses do not
+    depend on traffic elsewhere; the streams exist only when the rate
+    is non-zero.
+    @raise Invalid_argument on a rate outside [0, 1). *)
 
 val graph : t -> Topology.Graph.t
 val engine : t -> Sim.Engine.t
@@ -48,10 +49,6 @@ val inject : t -> at:Topology.Node.id -> Packet.t -> unit
 (** Run the node's handler directly (local origination), [from =
     None], on the current engine time. *)
 
-val total_drops : t -> int
-val total_wire_losses : t -> int
-val total_tx_bits : t -> float
-
 (** {1 Fault plumbing} — used by [Fault.Driver]; all no-ops by default *)
 
 val handler : t -> Topology.Node.id -> handler
@@ -64,8 +61,8 @@ val set_wire_filter : t -> (Topology.Link.t -> Packet.t -> bool) option -> unit
     bursts install a filter matching only Request/Backpressure. *)
 
 val set_fault_tap : t -> (Packet.t -> unit) -> unit
-(** Install a per-packet fault tap on every interface
-    (see {!Iface.set_fault_tap}). *)
+(** Install the destroyed-packet tap (outage kills and wire losses) on
+    every interface (see {!Iface.set_fault_tap}). *)
 
 val note_fault_kill : t -> unit
 (** Count one fault-destroyed packet at net level (dead-node sinks). *)

@@ -268,8 +268,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     | Some chk, Some tr ->
       Check.Invariant.attach tr (Check.Invariant.phase_legality chk);
       Check.Invariant.attach tr (Check.Invariant.bp_ordering chk);
-      let lossy = match loss_rate with Some r -> r > 0. | None -> false in
-      let cons = Check.Invariant.Conservation.create ~lossy chk in
+      let cons = Check.Invariant.Conservation.create chk in
       Check.Invariant.attach tr (Check.Invariant.Conservation.handler cons);
       Array.iter
         (fun r ->
@@ -321,10 +320,13 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
   let kill_data (p : Packet.t) =
     match (conservation, p.Packet.header) with
     | Some cons, Packet.Data { flow; idx; _ } ->
-      Check.Invariant.Conservation.note_fault_loss cons
+      Check.Invariant.Conservation.note_destroyed cons
         ~time:(Sim.Engine.now eng) ~flow ~idx
     | _ -> ()
   in
+  (* every copy an interface destroys — outage kills and wire loss —
+     is attributed to its chunk *)
+  if Option.is_some conservation then Net.set_fault_tap net kill_data;
   (* Point a flow's forwarding state along [path]: the PIT-less label
      stacks, or a router entry at every hop plus the teardown set.
      Set-up and reconvergence both route through here;
@@ -385,7 +387,6 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
   let driver =
     match faults with
     | Some sched when faults_active ->
-      Net.set_fault_tap net kill_data;
       let record ev =
         match trace with
         | Some tr -> Trace.record tr ~time:(Sim.Engine.now eng) ev
@@ -419,7 +420,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
                let now = Sim.Engine.now eng in
                List.iter
                  (fun (flow, idx) ->
-                   Check.Invariant.Conservation.note_fault_loss cons
+                   Check.Invariant.Conservation.note_destroyed cons
                      ~time:now ~flow ~idx)
                  wiped
              | None -> ());
@@ -932,7 +933,6 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     in
     Check.Invariant.Conservation.finish cons ~time:(Sim.Engine.now eng)
       ~quiescent:(all_done ()) ~in_custody ~drops
-      ~wire_losses:(Net.total_wire_losses net)
   | None -> ());
   let sim_time =
     match !finished_at with

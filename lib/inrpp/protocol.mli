@@ -65,8 +65,11 @@ type result = {
   (** custody admissions refused by overload control (threshold
       shedding + policy rejections); 0 without [?overload] *)
   detours_refused : int;
-  (** detour candidates refused because the neighbour was pressured;
-      0 without [?overload] *)
+  (** detour candidates that forwarding decisions (a data packet
+      seeking a detour, a custody chunk drained off a full or down
+      primary) passed over because the neighbour was pressured, one
+      per candidate per decision; probes of detour availability never
+      count (see {!Router.counters}); 0 without [?overload] *)
   collapse_episodes : int;
   (** collapse episodes the watchdog declared; 0 without a watchdog *)
   collapse_recovery_time : float option;
@@ -94,9 +97,9 @@ val run :
   Topology.Graph.t -> flow_spec list -> result
 (** [horizon] (default 60 s) bounds the run; the engine also stops as
     soon as every flow completes.  [loss_rate] injects seeded random
-    wire loss on every link (failure-injection testing; default none —
-    the protocol's own behaviour never drops unless the store
-    overflows).
+    wire loss on every link, one stream per link (failure-injection
+    testing; default [0.], the same run as no loss — the protocol's
+    own behaviour never drops unless the store overflows).
 
     [obs] instruments the run: router/interface/endpoint counters are
     registered as callback metrics (read at snapshot time — no
@@ -113,7 +116,10 @@ val run :
     trace collection): phase-transition legality, back-pressure
     ordering and chunk conservation stream off the trace taps, and the
     custody-ledger probe rides the estimator tick.  Inspect the
-    collector with [Check.Invariant.ok]/[report] after the run.
+    collector with [Check.Invariant.ok]/[report] after the run.  Every
+    data copy an interface destroys (outage kill or wire loss) is
+    attributed to its chunk, so lossy runs get the same per-chunk
+    delivered + destroyed ≤ sent check as faulted ones.
 
     [faults] replays a {!Fault.Schedule} against the run: link
     outages fail flows over onto detours (or engage back-pressure when

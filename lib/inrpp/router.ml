@@ -281,31 +281,48 @@ let cands t pt =
    configured custody-occupancy fraction is unusable — deflecting load
    into a store that is itself shedding only spreads the collapse.
    The pressure function is installed by the protocol layer (it owns
-   the router array); queue room is still checked first so the counter
-   only counts candidates refused {e solely} because of pressure. *)
-let cand_pressure_ok t (c : dcand) =
+   the router array). *)
+let pressured t (c : dcand) =
   match t.overload, t.neighbor_pressure with
   | Some ov, Some pressure_of
     when ov.Overload.Config.neighbor_pressure < infinity ->
-    if pressure_of c.dc_via >= ov.Overload.Config.neighbor_pressure then begin
-      t.c.detours_refused <- t.c.detours_refused + 1;
-      false
-    end
-    else true
-  | (Some _ | None), _ -> true
+    pressure_of c.dc_via >= ov.Overload.Config.neighbor_pressure
+  | (Some _ | None), _ -> false
 
-let cand_ok t (c : dcand) =
+let queue_room (c : dcand) =
   let n = Array.length c.dc_ifaces in
   let rec ok i =
     i >= n
     || (Iface.queue_occupancy c.dc_ifaces.(i) < c.dc_limits.(i) && ok (i + 1))
   in
-  ok 0 && cand_pressure_ok t c
+  ok 0
 
+let cand_ok t c = queue_room c && not (pressured t c)
+
+(* Index of the first usable candidate, or -1.  A probe: the estimator
+   tick, the back-pressure [can_absorb] test and the link up/down
+   fail-over checks only ask whether a detour exists. *)
 let first_usable t cs =
   let n = Array.length cs in
   let rec go i =
     if i >= n then -1 else if cand_ok t cs.(i) then i else go (i + 1)
+  in
+  go 0
+
+(* The same scan for a forwarding decision (a data packet in
+   [try_detour], a custody chunk in [drain]): every candidate it passes
+   over that has queue room but a pressured first-hop neighbour counts
+   once in [detours_refused]. *)
+let choose_detour t cs =
+  let n = Array.length cs in
+  let rec go i =
+    if i >= n then -1
+    else if not (queue_room cs.(i)) then go (i + 1)
+    else if pressured t cs.(i) then begin
+      t.c.detours_refused <- t.c.detours_refused + 1;
+      go (i + 1)
+    end
+    else i
   in
   go 0
 
@@ -494,7 +511,7 @@ let send_detour t flow (c : dcand) (p : Packet.t) =
    arrivals, or an interface that just went down). *)
 let try_detour t slot flow pt (p : Packet.t) =
   let cs = cands t pt in
-  let fi = first_usable t cs in
+  let fi = choose_detour t cs in
   if fi < 0 then custody t slot flow p
   else begin
     let first = cs.(fi) in
@@ -797,7 +814,7 @@ let drain t =
               then `Primary
               else begin
                 let cs = cands t pt in
-                let fi = first_usable t cs in
+                let fi = choose_detour t cs in
                 if fi >= 0 then `Detour cs.(fi) else `None
               end
             in

@@ -27,7 +27,16 @@ type counters = {
   mutable failovers : int;      (* flows moved onto detours by an outage *)
   mutable custody_wiped : int;  (* custody chunks lost to crashes *)
   mutable shed : int;           (* admissions refused by overload control *)
-  mutable detours_refused : int;(* detour candidates refused: neighbour pressure *)
+  mutable detours_refused : int;
+  (* Forwarding decisions' pressure refusals.  A decision is a data
+     packet looking for a detour (its primary is down, congested or in
+     the detour phase) or a custody chunk in {!drain} whose primary
+     has no room.  Each candidate that decision's scan for the first
+     usable detour passes over because its first-hop neighbour is at
+     or above the [neighbor_pressure] fraction (while its queues have
+     room) counts once.  Probes — the estimator tick, the
+     back-pressure detour test, the link up/down fail-over checks —
+     never count.  0 without overload control. *)
 }
 
 val create :

@@ -65,6 +65,50 @@ let ids =
     "protocols"; "popularity"; "overload";
   ]
 
+(* The [loss] artefact is not pinned; its claim is banded instead:
+   every transfer completes at every rate; the 0% row is the loss-free
+   run event for event; and at 2% and 5% a packet is lost.  A lossy
+   run whose dice never come up is the loss-free run event for event
+   too, so a later completion shows that something was lost. *)
+let test_loss_band () =
+  let fct (r : Inrpp.Protocol.result) =
+    match r.Inrpp.Protocol.flows.(0).Inrpp.Protocol.fct with
+    | Some f -> f
+    | None -> Alcotest.fail "transfer incomplete"
+  in
+  let rows =
+    List.map
+      (fun rate -> (rate, Experiments.loss_run ~loss_rate:rate ()))
+      Experiments.loss_rates
+  in
+  List.iter
+    (fun (rate, r) ->
+      let f = r.Inrpp.Protocol.flows.(0) in
+      Alcotest.(check int)
+        (Printf.sprintf "%g%%: 200/200 delivered" (100. *. rate))
+        200 f.Inrpp.Protocol.chunks_received;
+      Alcotest.(check int)
+        (Printf.sprintf "%g%%: completed" (100. *. rate))
+        1 r.Inrpp.Protocol.completed)
+    rows;
+  let none = Experiments.loss_run () in
+  let zero = List.assoc 0. rows in
+  Alcotest.(check (float 0.)) "0% fct = no loss rate" (fct none) (fct zero);
+  Alcotest.(check int) "0% engine events = no loss rate"
+    none.Inrpp.Protocol.engine_events zero.Inrpp.Protocol.engine_events;
+  Alcotest.(check int) "0% requests = no loss rate"
+    none.Inrpp.Protocol.flows.(0).Inrpp.Protocol.requests_sent
+    zero.Inrpp.Protocol.flows.(0).Inrpp.Protocol.requests_sent;
+  List.iter
+    (fun rate ->
+      let r = List.assoc rate rows in
+      Alcotest.(check bool)
+        (Printf.sprintf "%g%% loses a packet (fct %.3f > %.3f)" (100. *. rate)
+           (fct r) (fct none))
+        true
+        (fct r > fct none))
+    [ 0.02; 0.05 ]
+
 let () =
   Alcotest.run "artefacts"
     [
@@ -72,4 +116,5 @@ let () =
         List.map
           (fun id -> Alcotest.test_case id `Quick (check_artefact id))
           ids );
+      ("bands", [ Alcotest.test_case "loss" `Quick test_loss_band ]);
     ]

@@ -340,6 +340,91 @@ let test_iface_one_event_per_packet () =
   Alcotest.(check int) "one event per packet" n
     (Sim.Engine.events_handled eng)
 
+(* wire loss rides the same single arrival event: a lossy interface
+   still costs exactly one engine event per transmitted packet *)
+let test_iface_lossy_one_event_per_packet () =
+  let eng = Sim.Engine.create () in
+  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.002 2 [ (0, 1) ] in
+  let l = Option.get (Topology.Graph.find_link g 0 1) in
+  let delivered = ref 0 and lost = ref 0 in
+  let iface =
+    Chunksim.Iface.create ~queue_bits:1e9 ~loss:(0.3, Sim.Rng.create 5L) eng l
+      ~deliver:(fun _ -> incr delivered)
+  in
+  Chunksim.Iface.set_fault_tap iface (fun _ -> incr lost);
+  let n = 50 in
+  for i = 0 to n - 1 do
+    ignore (Chunksim.Iface.send iface (P.data ~flow:0 ~idx:i ~born:0. 1e4))
+  done;
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "some lost" true (!lost > 0);
+  Alcotest.(check int) "every loss through the tap"
+    (Chunksim.Iface.wire_losses iface) !lost;
+  Alcotest.(check int) "delivered + lost" n (!delivered + !lost);
+  Alcotest.(check int) "one event per packet" n
+    (Sim.Engine.events_handled eng)
+
+(* a lost packet was still serialised: it counts in the transmitted
+   bits and packets and in the busy time *)
+let test_iface_lost_packets_transmitted () =
+  let eng = Sim.Engine.create () in
+  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0. 2 [ (0, 1) ] in
+  let l = Option.get (Topology.Graph.find_link g 0 1) in
+  let iface =
+    Chunksim.Iface.create ~queue_bits:1e9 ~loss:(0.5, Sim.Rng.create 9L) eng l
+      ~deliver:(fun _ -> ())
+  in
+  (* 20 packets of 0.05 s each: 1 s of transmission, observed at 2 s *)
+  for i = 0 to 19 do
+    ignore (Chunksim.Iface.send iface (P.data ~flow:0 ~idx:i ~born:0. 5e4))
+  done;
+  ignore (Sim.Engine.schedule eng ~delay:2. (fun () -> ()));
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "some lost" true (Chunksim.Iface.wire_losses iface > 0);
+  check_close "tx bits include lost packets" 0. 1e6
+    (Chunksim.Iface.tx_bits iface);
+  Alcotest.(check int) "tx packets include lost packets" 20
+    (Chunksim.Iface.tx_packets iface);
+  check_close "50% busy" 1e-9 0.5
+    (Chunksim.Iface.utilisation iface ~now:(Sim.Engine.now eng))
+
+(* each link draws from its own loss stream: traffic on a
+   link-disjoint path leaves this link's losses untouched *)
+let test_net_loss_streams_per_link () =
+  let run ~other =
+    let eng = Sim.Engine.create () in
+    let g =
+      Topology.Graph.of_edges ~capacity:1e6 ~delay:1e-3 4 [ (0, 1); (2, 3) ]
+    in
+    let net = Chunksim.Net.create ~loss_rate:0.2 ~loss_seed:77L eng g in
+    let got = ref [] in
+    Chunksim.Net.set_handler net 1 (fun ~from:_ p ->
+        got := Scenario.idx_of p :: !got);
+    let l01 = Option.get (Topology.Graph.find_link g 0 1) in
+    let l23 = Option.get (Topology.Graph.find_link g 2 3) in
+    for i = 0 to 99 do
+      let t = 0.003 *. float_of_int i in
+      ignore
+        (Sim.Engine.schedule_at eng ~time:t (fun () ->
+             ignore
+               (Chunksim.Net.send net ~via:l01
+                  (P.data ~flow:0 ~idx:i ~born:t 1e3))));
+      if other then
+        ignore
+          (Sim.Engine.schedule_at eng ~time:(t +. 0.001) (fun () ->
+               ignore
+                 (Chunksim.Net.send net ~via:l23
+                    (P.data ~flow:1 ~idx:i ~born:t 1e3))))
+    done;
+    Sim.Engine.run eng;
+    (List.rev !got, Chunksim.Iface.wire_losses (Chunksim.Net.iface net l01.Topology.Link.id))
+  in
+  let alone, lost_alone = run ~other:false in
+  let shared, lost_shared = run ~other:true in
+  Alcotest.(check bool) "losses injected" true (lost_alone > 0);
+  Alcotest.(check int) "same wire losses" lost_alone lost_shared;
+  Alcotest.(check (list int)) "same survivors" alone shared
+
 (* per-packet allocation on the loss-free path is bounded: no
    per-packet closures, no tuples on pop (style of test_obs.ml) *)
 let test_iface_alloc_budget () =
@@ -369,61 +454,148 @@ let test_iface_alloc_budget () =
       (Printf.sprintf "allocation per packet (%.1f minor words)" per_packet)
       true (per_packet <= 64.)
 
-(* The fast path must be observationally identical to the legacy
-   two-event transmitter, which [~loss] still uses — probability 0
-   keeps the dice harmless while forcing that path.  Same bursts,
-   mid-run arrivals and overflows through both; delivery times must
-   match to the last bit. *)
-let iface_delivery_trace ~discipline ~legacy () =
-  let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.003 2 [ (0, 1) ] in
-  let l = Option.get (Topology.Graph.find_link g 0 1) in
-  let idx p = match p.P.header with P.Data { idx; _ } -> idx | _ -> -1 in
-  let trace = ref [] in
-  let loss = if legacy then Some (0., Sim.Rng.create 1L) else None in
-  let iface =
-    Chunksim.Iface.create ?loss ~queue_bits:6e4 ~discipline eng l
-      ~deliver:(fun p ->
-        trace :=
-          Printf.sprintf "%.17g f%d i%d" (Sim.Engine.now eng) (P.flow p)
-            (idx p)
-          :: !trace)
-  in
-  let send flow idx bits =
-    ignore (Chunksim.Iface.send iface (P.data ~flow ~idx ~born:0. bits))
-  in
-  (* initial bursts, varied sizes, enough to overflow the 6e4-bit queue *)
-  for i = 0 to 9 do
-    send 0 i (float_of_int (4_000 + (i * 700)));
-    send 1 i 8_000.
-  done;
-  (* mid-run arrivals: while the transmitter is busy and after it idles *)
-  for i = 10 to 14 do
-    let d = 0.05 *. float_of_int i in
-    ignore (Sim.Engine.schedule eng ~delay:d (fun () -> send (i mod 2) i 5_000.))
-  done;
-  ignore (Sim.Engine.schedule eng ~delay:2. (fun () -> send 0 99 1_000.));
-  Sim.Engine.run eng;
-  (List.rev !trace, Chunksim.Iface.drops iface, Chunksim.Iface.tx_bits iface)
+(* The lazy transmitter must be observationally identical to the
+   eager two-event reference model (test/ref_iface.ml).  Same bursts,
+   mid-run arrivals, overflows, outages and state reads through both;
+   delivery, kill and read results must match to the last bit.  The
+   later phases use a dyadic serialisation time (15625 bits at 1 Mbps
+   = 1/64 s) so events land exactly on completion instants:
+   - a link flapping while packets are still on the wire;
+   - a read, and a send, scheduled at a transmission's start for its
+     completion instant, ahead of the send that starts it (the read
+     must see the transmission still running, the send must queue);
+   - two links whose arrivals tie on time, epoch and parent, where the
+     one started by a chained pop was scheduled first;
+   - a link coming back up exactly when the serialisation its outage
+     interrupted completes. *)
+module Trace_run (T : Scenario.TRANSMITTER) = struct
+  let run ~discipline () =
+    let eng = Sim.Engine.create () in
+    let g =
+      Topology.Graph.of_edges ~capacity:1e6 ~delay:0.003 3 [ (0, 1); (0, 2) ]
+    in
+    let trace = ref [] in
+    let note what p =
+      trace :=
+        Printf.sprintf "%s %.17g f%d i%d" what (Sim.Engine.now eng) (P.flow p)
+          (Scenario.idx_of p)
+        :: !trace
+    in
+    let make dst =
+      let l = Option.get (Topology.Graph.find_link g 0 dst) in
+      let name = if dst = 1 then "a" else "b" in
+      let tx =
+        T.create ~queue_bits:6e4 ~discipline eng l
+          ~deliver:(note ("deliver " ^ name))
+      in
+      T.set_fault_tap tx (note ("kill " ^ name));
+      tx
+    in
+    let a = make 1 and b = make 2 in
+    let at time f = ignore (Sim.Engine.schedule_at eng ~time f) in
+    let after delay f = ignore (Sim.Engine.schedule eng ~delay f) in
+    let send ?(via = a) flow idx bits =
+      ignore (T.send via (P.data ~flow ~idx ~born:0. bits))
+    in
+    let read () =
+      trace :=
+        Printf.sprintf "read %.17g occ=%g busy=%b pkts=%d util=%.17g"
+          (Sim.Engine.now eng) (T.queue_occupancy a) (T.busy a)
+          (T.tx_packets a)
+          (T.utilisation a ~now:(Sim.Engine.now eng))
+        :: !trace
+    in
+    (* initial bursts, varied sizes, enough to overflow the 6e4-bit queue *)
+    for i = 0 to 9 do
+      send 0 i (float_of_int (4_000 + (i * 700)));
+      send 1 i 8_000.
+    done;
+    (* mid-run arrivals: while the transmitter is busy and after it idles *)
+    for i = 10 to 14 do
+      let d = 0.05 *. float_of_int i in
+      at d (fun () -> send (i mod 2) i 5_000.)
+    done;
+    at 2. (fun () -> send 0 99 1_000.);
+    List.iter (fun t -> at t read) [ 0.01; 0.05; 0.5; 0.7; 2.0005 ];
+    let dyadic = 15_625. in
+    let tx = dyadic /. 1e6 in
+    (* outages: packets 100.. serialise in 1/64 s each from t = 3 *)
+    at 3. (fun () ->
+        for i = 100 to 102 do
+          send 0 i dyadic
+        done);
+    at 3.02 (fun () -> T.set_down ~policy:`Hold_queued a);
+    at 3.03125 (fun () -> T.set_up a);
+    at 3.032 (fun () -> T.set_down ~policy:`Hold_queued a);
+    at 3.033 (fun () -> T.set_up a);
+    at 3.04 read;
+    at 4. (fun () ->
+        for i = 110 to 113 do
+          send 1 i dyadic
+        done);
+    at 4.02 (fun () -> T.set_down a);
+    at 4.03 (fun () -> T.set_up a);
+    at 4.04 (fun () -> send 1 120 dyadic);
+    (* completion ties, scheduled ahead of the starting send *)
+    at 6. (fun () ->
+        after tx read;
+        send 0 131 dyadic);
+    at 8. (fun () ->
+        after tx (fun () ->
+            send 0 134 dyadic;
+            read ());
+        send 0 135 dyadic);
+    (* a2 starts by a chained pop at 10 + 1/64 and is popped lazily;
+       b1 is sent at the same instant by a later-scheduled event *)
+    at 10. (fun () ->
+        send 0 140 dyadic;
+        send 0 141 dyadic);
+    at 10.005 (fun () ->
+        at (10. +. tx) (fun () -> send ~via:b 2 142 dyadic));
+    (* up again exactly at the completion instant of the packet the
+       outage caught mid-serialisation, scheduled after that packet
+       started: the held packet starts at once, as a new busy period
+       whose arrival ties with link b's third packet and sorts after
+       it *)
+    at 12. (fun () ->
+        for i = 150 to 152 do
+          send 0 i dyadic
+        done;
+        for i = 160 to 162 do
+          send ~via:b 3 i dyadic
+        done);
+    at 12.02 (fun () ->
+        T.set_down ~policy:`Hold_queued a;
+        at (12. +. (2. *. tx)) (fun () ->
+            T.set_up a;
+            read ()));
+    Sim.Engine.run eng;
+    (List.rev !trace, T.drops a, T.tx_bits a +. T.tx_bits b, T.fault_drops a)
+end
 
-let check_fast_legacy_equiv discipline =
-  let fast_trace, fast_drops, fast_bits =
-    iface_delivery_trace ~discipline ~legacy:false ()
+module Lazy_trace = Trace_run (Scenario.Lazy_iface)
+module Reference_trace = Trace_run (Ref_iface)
+
+let check_lazy_reference_equiv discipline =
+  let lazy_trace, lazy_drops, lazy_bits, lazy_kills =
+    Lazy_trace.run ~discipline ()
   in
-  let legacy_trace, legacy_drops, legacy_bits =
-    iface_delivery_trace ~discipline ~legacy:true ()
+  let ref_trace, ref_drops, ref_bits, ref_kills =
+    Reference_trace.run ~discipline ()
   in
-  Alcotest.(check (list string)) "delivery order and times" legacy_trace
-    fast_trace;
-  Alcotest.(check int) "drops" legacy_drops fast_drops;
-  Alcotest.(check (float 0.)) "tx bits" legacy_bits fast_bits;
-  Alcotest.(check bool) "queue overflowed in scenario" true (fast_drops > 0)
+  Alcotest.(check (list string)) "deliveries, kills and reads" ref_trace
+    lazy_trace;
+  Alcotest.(check int) "drops" ref_drops lazy_drops;
+  Alcotest.(check (float 0.)) "tx bits" ref_bits lazy_bits;
+  Alcotest.(check int) "fault drops" ref_kills lazy_kills;
+  Alcotest.(check bool) "queue overflowed in scenario" true (lazy_drops > 0);
+  Alcotest.(check bool) "outages killed packets" true (lazy_kills > 0)
 
 let test_iface_fast_legacy_equiv_fifo () =
-  check_fast_legacy_equiv Chunksim.Iface.Fifo_discipline
+  check_lazy_reference_equiv Chunksim.Iface.Fifo_discipline
 
 let test_iface_fast_legacy_equiv_drr () =
-  check_fast_legacy_equiv (Chunksim.Iface.Drr 4_000.)
+  check_lazy_reference_equiv (Chunksim.Iface.Drr 4_000.)
 
 let test_net_delivery_and_handlers () =
   let eng = Sim.Engine.create () in
@@ -706,6 +878,10 @@ let () =
           Alcotest.test_case "wire loss" `Quick test_iface_wire_loss;
           Alcotest.test_case "one event per packet" `Quick
             test_iface_one_event_per_packet;
+          Alcotest.test_case "lossy: one event per packet" `Quick
+            test_iface_lossy_one_event_per_packet;
+          Alcotest.test_case "lost packets transmitted" `Quick
+            test_iface_lost_packets_transmitted;
           Alcotest.test_case "allocation budget" `Quick test_iface_alloc_budget;
           Alcotest.test_case "fast = legacy (FIFO)" `Quick
             test_iface_fast_legacy_equiv_fifo;
@@ -722,6 +898,8 @@ let () =
         [
           Alcotest.test_case "delivery and handlers" `Quick test_net_delivery_and_handlers;
           Alcotest.test_case "inject" `Quick test_net_inject;
+          Alcotest.test_case "loss streams per link" `Quick
+            test_net_loss_streams_per_link;
         ] );
       ( "trace",
         [

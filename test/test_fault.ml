@@ -441,14 +441,17 @@ let test_control_burst_recovery () =
 let dumbbell_specs n chunks =
   List.init n (fun i -> flow ~src:(2 + i) ~dst:(2 + n + i) chunks)
 
-(* Satellite: loss-recovery sweep.  All flows complete under 1-5%
-   random wire loss; duplicates and request overhead stay within a
-   bound derived from the loss-free baseline. *)
+(* Loss-recovery sweep.  All flows complete under 1-5% random wire
+   loss; duplicates and request overhead stay within a bound derived
+   from the loss-free baseline; every lost data copy is attributed to
+   its chunk by the conservation checker. *)
 let test_loss_recovery_sweep () =
   let g = Topology.Builders.dumbbell 3 in
   let specs = dumbbell_specs 3 60 in
   let cfg = { Inrpp.Config.default with Inrpp.Config.timeout_backoff = 2. } in
-  let run ?loss_rate () = Inrpp.Protocol.run ~cfg ~horizon:120. ?loss_rate g specs in
+  let run ?loss_rate ?check () =
+    Inrpp.Protocol.run ~cfg ~horizon:120. ?loss_rate ?check g specs
+  in
   let base = run () in
   let base_requests =
     Array.fold_left
@@ -457,10 +460,14 @@ let test_loss_recovery_sweep () =
   in
   List.iter
     (fun loss ->
-      let r = run ~loss_rate:loss () in
+      let chk = Check.Invariant.create () in
+      let r = run ~loss_rate:loss ~check:chk () in
       Alcotest.(check int)
         (Printf.sprintf "all complete at %.0f%% loss" (100. *. loss))
         3 r.Inrpp.Protocol.completed;
+      if not (Check.Invariant.ok chk) then
+        Alcotest.failf "checkers at %.0f%% loss: %s" (100. *. loss)
+          (Check.Invariant.report chk);
       let requests, dups, chunks =
         Array.fold_left
           (fun (rq, d, c) f ->

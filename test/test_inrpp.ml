@@ -588,6 +588,58 @@ let hub_fixture () =
   in
   (g, router, outs, used, request)
 
+(* [detours_refused] counts forwarding decisions, not probes.  Node 1
+   of fig3 forwards flow 0 on 1->3 with two detour candidates, 1-2-3
+   and 1-0-2-3, and every neighbour reports full custody.  The
+   estimator tick, a back-pressure engage and the link down/up
+   fail-over checks only probe for a usable detour; three data packets
+   arriving while 1->3 is down and one drain of the custody they land
+   in are the decisions, each refusing both candidates once. *)
+let test_router_detours_refused_counts_decisions () =
+  let cfg = Inrpp.Config.default in
+  let eng = Sim.Engine.create () in
+  let g = Topology.Builders.fig3 () in
+  let net = Chunksim.Net.create eng g in
+  let ls = Topology.Link_state.create g in
+  let detours = Inrpp.Detour_table.create g in
+  let overload =
+    { Overload.Config.off with Overload.Config.neighbor_pressure = 0.5 }
+  in
+  let router =
+    Inrpp.Router.create ~cfg ~net ~node:1 ~detours ~link_state:ls ~overload ()
+  in
+  Inrpp.Router.set_neighbor_pressure router (fun _ -> 1.);
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  let primary = link 1 3 in
+  let k = List.length (Inrpp.Detour_table.candidates detours primary) in
+  Alcotest.(check int) "two candidates" 2 k;
+  Inrpp.Router.install_flow router ~flow:0 ~data_link:(Some primary)
+    ~req_link:(Some (link 1 0)) ();
+  let handle = Inrpp.Router.handler router in
+  let data idx =
+    handle ~from:(Some (link 0 1))
+      (Chunksim.Packet.data ~flow:0 ~idx ~born:0. cfg.Inrpp.Config.chunk_bits)
+  in
+  let refused () = (Inrpp.Router.counters router).Inrpp.Router.detours_refused in
+  (* probes *)
+  data 0;
+  for _ = 1 to 3 do
+    Inrpp.Router.tick router
+  done;
+  handle ~from:(Some (link 3 1)) (Chunksim.Packet.backpressure ~flow:0 ~engage:true);
+  Topology.Link_state.set ls primary.Topology.Link.id ~up:false;
+  Inrpp.Router.on_link_down router primary.Topology.Link.id;
+  Alcotest.(check int) "probes refuse nothing" 0 (refused ());
+  (* decisions *)
+  List.iter data [ 1; 2; 3 ];
+  Alcotest.(check int) "each deflection refuses both" (3 * k) (refused ());
+  Inrpp.Router.drain router;
+  Alcotest.(check int) "the drain refuses both" (4 * k) (refused ());
+  Topology.Link_state.set ls primary.Topology.Link.id ~up:true;
+  Inrpp.Router.on_link_up router primary.Topology.Link.id;
+  Inrpp.Router.tick router;
+  Alcotest.(check int) "primary back: no refusal" (4 * k) (refused ())
+
 let link_ids ls = List.map (fun (l : Topology.Link.t) -> l.Topology.Link.id) ls
 
 let test_router_estimator_links_sorted () =
@@ -1251,6 +1303,8 @@ let () =
             test_router_queries_none_off_port;
           Alcotest.test_case "crash clears ports" `Quick
             test_router_crash_clears_ports;
+          Alcotest.test_case "detours_refused counts decisions" `Quick
+            test_router_detours_refused_counts_decisions;
         ] );
       ( "endpoints",
         [

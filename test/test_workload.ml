@@ -511,6 +511,93 @@ let test_affinity_spec_concentrates seed =
     (reps bound > reps free)
 
 (* ------------------------------------------------------------------ *)
+(* Decoder fuzz: random and mutated strings through every decoder of
+   untrusted input.  None may raise; each returns its typed error. *)
+
+let fuzz_seeds =
+  [
+    {|{"t":0.5,"src":1,"dst":4,"content":7,"chunks":12}|};
+    {|{"t":1e-3,"src":0,"dst":2,"content":0,"chunks":1}|};
+    {|[1,-2.5e10,"a\"b\u00e9",true,false,null,{"k":[{}]}]|};
+    {|{"a":{"b":[1,2,{"c":"\ud83d\ude00"}]},"n":-0.0}|};
+  ]
+
+let mutate rng s =
+  let b = Buffer.create (String.length s + 8) in
+  Buffer.add_string b s;
+  for _ = 1 to 1 + Random.State.int rng 4 do
+    let cur = Buffer.contents b in
+    let n = String.length cur in
+    let pos = if n = 0 then 0 else Random.State.int rng (n + 1) in
+    let pos = min pos n in
+    let ch () =
+      if Random.State.bool rng then "{}[],:\"\\-+.eE0123456789tfnu \n\r".[Random.State.int rng 27]
+      else Char.chr (Random.State.int rng 256)
+    in
+    Buffer.clear b;
+    match Random.State.int rng 4 with
+    | 0 -> (* insert *)
+      Buffer.add_string b (String.sub cur 0 pos);
+      Buffer.add_char b (ch ());
+      Buffer.add_string b (String.sub cur pos (n - pos))
+    | 1 when pos < n -> (* replace *)
+      Buffer.add_string b (String.sub cur 0 pos);
+      Buffer.add_char b (ch ());
+      Buffer.add_string b (String.sub cur (pos + 1) (n - pos - 1))
+    | 2 -> (* truncate *) Buffer.add_string b (String.sub cur 0 pos)
+    | _ -> (* duplicate a span *)
+      let len = if n - pos = 0 then 0 else Random.State.int rng (n - pos) in
+      Buffer.add_string b (String.sub cur 0 (pos + len));
+      Buffer.add_string b (String.sub cur pos (n - pos))
+  done;
+  Buffer.contents b
+
+let fuzz_input =
+  let gen rng =
+    match Random.State.int rng 3 with
+    | 0 ->
+      String.init (Random.State.int rng 40) (fun _ ->
+          Char.chr (Random.State.int rng 256))
+    | 1 ->
+      let base = List.nth fuzz_seeds (Random.State.int rng (List.length fuzz_seeds)) in
+      mutate rng base
+    | _ ->
+      (* several NDJSON lines, some mutated, mixed line endings *)
+      String.concat ""
+        (List.init (1 + Random.State.int rng 4) (fun _ ->
+             let line =
+               List.nth fuzz_seeds (Random.State.int rng (List.length fuzz_seeds))
+             in
+             let line = if Random.State.bool rng then mutate rng line else line in
+             line ^ if Random.State.bool rng then "\n" else "\r\n"))
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") gen
+
+let decoders_never_raise s =
+  (match Obs.Json.parse s with
+  | Ok j -> ignore (Workload.Request.of_json j : (_, string) result)
+  | Error (_ : string) -> ());
+  for chunk_size = 1 to 8 do
+    let r = Obs.Json.Reader.of_string ~chunk_size s in
+    Obs.Json.Reader.fold r
+      (fun () -> function
+        | Ok j -> ignore (Workload.Request.of_json j : (_, string) result)
+        | Error (_ : string) -> ())
+      ()
+  done;
+  let path = Filename.temp_file "fuzz" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      ignore (Workload.Trace.load_file path : (_, string) result));
+  true
+
+let prop_decoders_never_raise =
+  QCheck.Test.make ~name:"decoders return errors, never raise" ~count:2_000
+    fuzz_input decoders_never_raise
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -551,5 +638,8 @@ let () =
               test_trace_rejects_foreign;
             Alcotest.test_case "bad request json rejected" `Quick
               test_request_json_rejects;
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 0xF022 |])
+              prop_decoders_never_raise;
           ] );
     ]
