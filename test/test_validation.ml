@@ -469,7 +469,7 @@ let () =
         ] );
       ( "protocol",
         [
-          Alcotest.test_case "loss rate 0 = no loss" `Quick
+          Alcotest.test_case "zero loss rate is no loss" `Quick
             test_protocol_zero_loss_rate;
           Alcotest.test_case "check clean fig3" `Quick test_check_clean_fig3;
           Alcotest.test_case "check clean backpressure" `Quick
